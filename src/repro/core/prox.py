@@ -22,7 +22,9 @@ an oracle in tests) are provided.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -42,6 +44,7 @@ class ProximityIndex:
         self._nodes: List[URI] = sorted(instance.network_nodes())
         self._index: Dict[URI, int] = {uri: i for i, uri in enumerate(self._nodes)}
         self._neigh_cache: Dict[URI, np.ndarray] = {}
+        self._census = self._universe_census()
         self._build_transition()
 
     # ------------------------------------------------------------------
@@ -62,6 +65,17 @@ class ProximityIndex:
         return self._nodes[index]
 
     # ------------------------------------------------------------------
+    def _universe_census(self) -> int:
+        """Summed sizes of the three collections the universe is the
+        union of — an O(1) fingerprint :meth:`apply_delta` checks its
+        delta-sized view of the universe against."""
+        instance = self._instance
+        return (
+            len(instance.users)
+            + len(instance.node_to_document)
+            + len(instance.tags)
+        )
+
     def _out_edges_by_node(self) -> Dict[URI, List[Tuple[int, float]]]:
         """Raw network out-edges, subject → [(target index, weight)]."""
         edges: Dict[URI, List[Tuple[int, float]]] = defaultdict(list)
@@ -88,32 +102,57 @@ class ProximityIndex:
             target_index: weight / total for target_index, weight in merged.items()
         }
 
-    def _matrix_from_rows(self) -> None:
-        """(Re)build the transposed stepping CSR from ``self._rows``."""
-        rows: List[int] = []
-        cols: List[int] = []
-        data: List[float] = []
-        for v, row in enumerate(self._rows):
-            for target_index, normalized in row.items():
-                rows.append(v)
-                cols.append(target_index)
-                data.append(normalized)
-        n = len(self._nodes)
-        matrix = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(n, n), dtype=np.float64
+    @staticmethod
+    def _entry_keys(
+        sources: Sequence[int], rows: Sequence[Dict[int, float]], n: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows of ``T`` as sorted entries of the transposed CSR.
+
+        Entry ``T[v, m]`` sits at row ``m``, column ``v`` of the stepping
+        matrix, so its place in the canonical (row-major, sorted-column)
+        order is the scalar key ``m * n + v``.  Returns the ascending keys
+        and their values."""
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        total = int(lengths.sum())
+        columns = np.repeat(np.asarray(sources, dtype=np.int64), lengths)
+        targets = np.fromiter(
+            chain.from_iterable(rows), dtype=np.int64, count=total
         )
-        #: transposed transition, so that ``next = T^T @ border`` is a
-        #: single CSR mat-vec.
-        self._transition_t = matrix.transpose().tocsr()
-        self._transition_t.sort_indices()
+        data = np.fromiter(
+            chain.from_iterable(row.values() for row in rows),
+            dtype=np.float64,
+            count=total,
+        )
+        keys = targets * n + columns
+        order = np.argsort(keys)
+        return keys[order], data[order]
+
+    def _set_transition(self, keys: np.ndarray, data: np.ndarray) -> None:
+        """Install the stepping matrix whose sorted entry keys are *keys*
+        — always freshly allocated arrays, never a write into the
+        previous (possibly adopted, read-only) ones."""
+        n = len(self._nodes)
+        # scipy's own rule: 32-bit indices whenever shape and nnz fit.
+        fits = max(n, keys.size) <= np.iinfo(np.int32).max
+        idx_dtype = np.int32 if fits else np.int64
+        self.adopt_transition(
+            {
+                "data": data,
+                "indices": (keys % n).astype(idx_dtype),
+                "indptr": np.searchsorted(
+                    keys, np.arange(n + 1, dtype=np.int64) * n
+                ).astype(idx_dtype),
+            }
+        )
 
     def _build_transition(self) -> None:
         own_edges = self._out_edges_by_node()
-        row_dicts: List[Dict[int, float]] = [dict() for _ in self._nodes]
-        for uri in self._nodes:
-            row_dicts[self._index[uri]] = self._merged_row(uri, own_edges)
-        self._rows = row_dicts
-        self._matrix_from_rows()
+        rows = [self._merged_row(uri, own_edges) for uri in self._nodes]
+        if self.use_matrix:
+            n = len(rows)
+            self._set_transition(*self._entry_keys(range(n), rows, n))
+        else:
+            self._rows = rows
 
     # ------------------------------------------------------------------
     # Transition placement (SlabStore hooks)
@@ -142,11 +181,13 @@ class ProximityIndex:
             shape=(n, n),
             copy=False,
         )
-        # The exported arrays came from a sorted canonical CSR; recording
-        # that here keeps scipy from ever trying to (re)sort — which
-        # would write into the read-only shared buffers.
+        # The arrays are a sorted canonical CSR; recording that here
+        # keeps scipy from ever trying to (re)sort — which would write
+        # into read-only shared buffers.
         matrix.has_sorted_indices = True
         matrix.has_canonical_format = True
+        #: transposed transition, so that ``next = T^T @ border`` is a
+        #: single CSR mat-vec.
         self._transition_t = matrix
 
     # ------------------------------------------------------------------
@@ -162,43 +203,69 @@ class ProximityIndex:
         symmetric, the rows whose merged out-edges can change are exactly
         the closed vertical neighborhoods of those sources — every such
         row (plus every row of a node new to the universe) is recomputed
-        with :meth:`_merged_row`, then the stepping matrix is rebuilt
-        from the row dicts (never writing a possibly-adopted CSR in
-        place).  Returns ``(old_to_new, affected_rows)``: the old→new
-        dense index map when the universe grew (``None`` when indices are
-        unchanged) and the sorted new dense indices of every recomputed
-        row — a query whose exploration never touched one of those rows
-        steps bit-identically before and after the patch.
+        with :meth:`_merged_row` and spliced into the stepping matrix in
+        the array domain (see :meth:`_splice_rows`).  Interpreter work is
+        proportional to the touched neighborhoods, not to the graph: the
+        universe is only inspected at the endpoints of the new edges.
+        Returns ``(old_to_new, affected_rows)``: the old→new dense index
+        map when the universe grew (``None`` when indices are unchanged)
+        and the sorted new dense indices of every recomputed row — a
+        query whose exploration never touched one of those rows steps
+        bit-identically before and after the patch.
 
-        The caller must ensure the mutation only *added* universe nodes;
-        a shrunk universe raises ``ValueError`` (fall back to a full
-        rebuild).
+        The caller must ensure the mutation only *added* universe nodes,
+        each an endpoint of one of the new edges; a universe that changed
+        any other way raises ``ValueError`` before anything is patched
+        (fall back to a full rebuild).
         """
         instance = self._instance
-        current = instance.network_nodes()
-        added = sorted(uri for uri in current if uri not in self._index)
-        if len(current) != len(self._nodes) + len(added):
-            raise ValueError(
-                "network universe shrank; the proximity index cannot be "
-                "patched incrementally"
+        sources: Set[URI] = set(edge_sources)
+        out_edges: Dict[URI, List[Tuple[URI, float]]] = {}
+
+        def edges_of(member: URI) -> List[Tuple[URI, float]]:
+            edges = out_edges.get(member)
+            if edges is None:
+                edges = out_edges[member] = [
+                    (target, weight)
+                    for target, weight, _pred in instance.network_out_edges(member)
+                ]
+            return edges
+
+        def collections_holding(uri: URI) -> int:
+            return (
+                instance.is_user(uri)
+                + instance.is_document_node(uri)
+                + instance.is_tag(uri)
             )
-        old_nodes = self._nodes
-        old_rows = self._rows
+
+        endpoints = set(sources)
+        for source in sources:
+            endpoints.update(target for target, _weight in edges_of(source))
+        added = sorted(
+            uri
+            for uri in endpoints
+            if uri not in self._index and collections_holding(uri)
+        )
+        census = self._universe_census()
+        if census != self._census + sum(map(collections_holding, added)):
+            raise ValueError(
+                "network universe changed beyond the endpoints of the new "
+                "edges; the proximity index cannot be patched incrementally"
+            )
+        self._census = census
+
         old_to_new: Optional[np.ndarray] = None
         if added:
-            self._nodes = sorted(current)
-            self._index = {uri: i for i, uri in enumerate(self._nodes)}
-            old_to_new = np.fromiter(
-                (self._index[uri] for uri in old_nodes),
-                dtype=np.int64,
-                count=len(old_nodes),
+            # Inserting into a sorted list is a monotone re-indexing:
+            # old index i moves up by the number of insertion points <= i.
+            points = [bisect_left(self._nodes, uri) for uri in added]
+            old_to_new = np.arange(len(self._nodes), dtype=np.int64)
+            old_to_new += np.searchsorted(points, old_to_new, side="right")
+            for shift, (point, uri) in enumerate(zip(points, added)):
+                self._nodes.insert(point + shift, uri)
+            self._index.update(
+                zip(self._nodes[points[0] :], range(points[0], len(self._nodes)))
             )
-            new_rows: List[Dict[int, float]] = [dict() for _ in self._nodes]
-            for v, row in enumerate(old_rows):
-                new_rows[int(old_to_new[v])] = {
-                    int(old_to_new[t]): w for t, w in row.items()
-                }
-            self._rows = new_rows
             # Neighborhood membership is unchanged by node additions
             # (documents are untouched), only dense indices shifted.
             self._neigh_cache = {
@@ -206,7 +273,6 @@ class ProximityIndex:
                 for uri, cached in self._neigh_cache.items()
             }
 
-        sources: Set[URI] = set(edge_sources)
         # A node new to the universe also un-filters any pre-existing
         # network edge pointing at it: the edge's subject rows change too.
         for uri in added:
@@ -227,22 +293,71 @@ class ProximityIndex:
             needed.update(instance.vertical_neighborhood(uri))
         own_edges: Dict[URI, List[Tuple[int, float]]] = {}
         for member in needed:
-            entries: List[Tuple[int, float]] = []
-            for target, weight, _pred in instance.network_out_edges(member):
-                target_index = self._index.get(target)
-                if target_index is not None and weight > 0.0:
-                    entries.append((target_index, weight))
+            entries = [
+                (self._index[target], weight)
+                for target, weight in edges_of(member)
+                if weight > 0.0 and target in self._index
+            ]
             if entries:
                 own_edges[member] = entries
-        for uri in affected:
-            self._rows[self._index[uri]] = self._merged_row(uri, own_edges)
-        self._matrix_from_rows()
+        # ``_nodes`` is sorted, so URI order is dense-index order.
+        recomputed = sorted(affected)
         affected_rows = np.fromiter(
-            sorted(self._index[uri] for uri in affected),
+            (self._index[uri] for uri in recomputed),
             dtype=np.int64,
-            count=len(affected),
+            count=len(recomputed),
         )
+        rows = [self._merged_row(uri, own_edges) for uri in recomputed]
+        if self.use_matrix:
+            self._splice_rows(old_to_new, affected_rows, rows)
+        else:
+            if old_to_new is not None:
+                grown: List[Dict[int, float]] = [dict() for _ in self._nodes]
+                for v, row in enumerate(self._rows):
+                    grown[int(old_to_new[v])] = {
+                        int(old_to_new[t]): w for t, w in row.items()
+                    }
+                self._rows = grown
+            for v, row in zip(affected_rows.tolist(), rows):
+                self._rows[v] = row
         return old_to_new, affected_rows
+
+    def _splice_rows(
+        self,
+        old_to_new: Optional[np.ndarray],
+        affected_rows: np.ndarray,
+        rows: Sequence[Dict[int, float]],
+    ) -> None:
+        """Replace rows *affected_rows* of ``T`` inside the transposed CSR.
+
+        Works on the sorted entry keys of :meth:`_entry_keys`: the old
+        entries are re-indexed with one gather (*old_to_new* is monotone,
+        so they stay sorted), the stale rows' entries are masked out and
+        the recomputed ones inserted at their ``searchsorted`` places.
+        The canonical CSR of a given entry set is unique, so the result
+        equals a from-scratch build byte for byte.  Every step allocates;
+        the previous arrays are only read.
+        """
+        if affected_rows.size == 0:
+            return
+        old = self._transition_t
+        n = len(self._nodes)
+        targets = np.repeat(
+            np.arange(old.shape[0], dtype=np.int64), np.diff(old.indptr)
+        )
+        columns = old.indices
+        if old_to_new is not None:
+            targets, columns = old_to_new[targets], old_to_new[columns]
+        stale = np.zeros(n, dtype=bool)
+        stale[affected_rows] = True
+        keep = ~stale[columns]
+        kept_keys = targets[keep] * n + columns[keep]
+        new_keys, new_data = self._entry_keys(affected_rows, rows, n)
+        places = np.searchsorted(kept_keys, new_keys)
+        self._set_transition(
+            np.insert(kept_keys, places, new_keys),
+            np.insert(old.data[keep], places, new_data),
+        )
 
     # ------------------------------------------------------------------
     # Border propagation
@@ -293,7 +408,14 @@ class ProximityIndex:
 
     def transition_row(self, uri: URI) -> Dict[int, float]:
         """Normalized out-transitions of *uri* (over its neighborhood)."""
-        return dict(self._rows[self._index[uri]])
+        v = self._index[uri]
+        if not self.use_matrix:
+            return dict(self._rows[v])
+        # Row v of T is column v of the transposed stepping matrix.
+        matrix = self._transition_t
+        entries = np.flatnonzero(matrix.indices == v)
+        targets = np.searchsorted(matrix.indptr, entries, side="right") - 1
+        return dict(zip(targets.tolist(), matrix.data[entries].tolist()))
 
     # ------------------------------------------------------------------
     # Source proximity

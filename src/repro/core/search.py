@@ -974,7 +974,10 @@ class S3kSearch:
         Returns a patch-info dict on success, or ``None`` when some delta
         is not incrementally expressible — an untyped mutation, a tag
         whose subject starts a fresh component, a comment edge merging
-        two components, a derived network edge, or a shrunk universe.
+        two components, a derived network edge, or a universe that
+        changed beyond the new edges' endpoints.  The dict carries
+        ``patch_seconds`` and its per-stage shares ``prox_patch_seconds``
+        / ``connection_patch_seconds`` / ``evict_seconds``.
         After a ``None`` return the kernel may be partially patched and
         must be discarded for a from-scratch rebuild (which the engine's
         fallback path does).
@@ -1056,17 +1059,26 @@ class S3kSearch:
             for triple in frontier
             if triple.predicate in NETWORK_EDGE_PROPERTIES
         }
+        prox_started = time.perf_counter()
         try:
             old_to_new, affected_rows = self.prox_index.apply_delta(
                 edge_sources
             )
         except ValueError:
             return None
+        prox_seconds = time.perf_counter() - prox_started
 
         # -- re-align the connection slabs -------------------------------
-        patch_info: Dict[str, object] = {"components_patched": 0}
+        patch_info: Dict[str, object] = {
+            "components_patched": 0,
+            "prox_patch_seconds": prox_seconds,
+        }
         if self.connection_index is not None:
             patch_info.update(self.connection_index.apply_delta(touched))
+        # The slab patch's own clock; ``patch_seconds`` names the total.
+        patch_info["connection_patch_seconds"] = patch_info.pop(
+            "patch_seconds", 0.0
+        )
 
         # -- patch the keyword / component summaries ---------------------
         for delta in deltas:
@@ -1098,6 +1110,7 @@ class S3kSearch:
         # No component was created or merged, so the stride is unchanged.
 
         # -- scoped cache eviction ---------------------------------------
+        evict_started = time.perf_counter()
         evicted = self._evict_stale_plans(
             stale_terms, new_keywords, touched, old_to_new
         )
@@ -1110,7 +1123,9 @@ class S3kSearch:
         patch_info["deltas_applied"] = len(deltas)
         patch_info["components_touched"] = len(touched)
         patch_info["cache_entries_evicted"] = evicted
-        patch_info["patch_seconds"] = time.perf_counter() - started
+        finished = time.perf_counter()
+        patch_info["evict_seconds"] = finished - evict_started
+        patch_info["patch_seconds"] = finished - started
         return patch_info
 
     def _evict_stale_plans(

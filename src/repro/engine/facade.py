@@ -76,6 +76,11 @@ class EngineConfig:
     plan_cache_size: int = 4096
 
 
+#: per-stage shares of ``patch_wall_seconds`` reported by
+#: :meth:`S3kSearch.apply_deltas` and accumulated in ``maintenance``
+_PATCH_STAGES = ("prox_patch_seconds", "connection_patch_seconds", "evict_seconds")
+
+
 def _merge_batcher_counters(totals: Dict[str, float], stats: Dict[str, float]) -> None:
     """Fold one batcher's counters into *totals* (sums, except
     ``largest_batch`` which is a maximum; the derived ``mean_batch_size``
@@ -132,6 +137,7 @@ class Engine:
             "components_patched": 0,
             "fallback_rebuilds": 0,
             "patch_wall_seconds": 0.0,
+            **dict.fromkeys(_PATCH_STAGES, 0.0),
         }
         #: counters of batchers retired by event-loop changes
         self._batch_totals: Dict[str, float] = {}
@@ -233,6 +239,8 @@ class Engine:
                     maintenance["patch_wall_seconds"] += (
                         time.perf_counter() - started
                     )
+                    for stage in _PATCH_STAGES:
+                        maintenance[stage] += float(info.get(stage, 0.0))
                     self._kernel_version = self.instance.version
                     return self._kernel
             self._maintenance["fallback_rebuilds"] += 1
@@ -560,7 +568,8 @@ class Engine:
 
         Sections: ``engine`` (served queries, kernel rebuilds, instance
         version), ``maintenance`` (writes applied, deltas consumed,
-        components patched, fallback rebuilds, patch wall seconds),
+        components patched, fallback rebuilds, patch wall seconds and
+        their proximity / connection-slab / cache-eviction shares),
         ``result_cache`` (hit / miss / occupancy),
         ``connection_index`` (slab counts incl. persisted / adopted,
         size, build time), ``batcher`` (flush and collapse counters,
@@ -600,7 +609,7 @@ class Engine:
                 "kernel_version": self._kernel_version,
             },
             "maintenance": {
-                name: (round(value, 6) if name == "patch_wall_seconds" else value)
+                name: (round(value, 6) if name.endswith("_seconds") else value)
                 for name, value in self._maintenance.items()
             },
             "result_cache": dict(self.cache_stats),

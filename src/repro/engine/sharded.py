@@ -761,9 +761,10 @@ class ShardedEngine:
     def stats(self) -> Dict[str, Dict[str, object]]:
         """Merged rollup plus per-shard breakdown.
 
-        Sections: ``engine`` / ``result_cache`` / ``batcher`` are the
-        workers' counters summed (the same shapes as
-        :meth:`Engine.stats`, so existing dashboards keep reading them);
+        Sections: ``engine`` / ``result_cache`` / ``batcher`` /
+        ``maintenance`` / ``exploration`` are the workers' counters
+        summed (the same shapes as :meth:`Engine.stats`, so existing
+        dashboards keep reading them);
         ``connection_index`` reports the router's **shared** index once
         (summing N views of one mmap would multiply its size);
         ``router`` holds routing / respawn / placement counters; one
@@ -781,6 +782,7 @@ class ShardedEngine:
         rollup_cache: Dict[str, int] = {"hits": 0, "misses": 0, "size": 0, "maxsize": 0}
         rollup_batcher: Dict[str, float] = {}
         rollup_maintenance: Dict[str, float] = {}
+        rollup_exploration: Dict[str, float] = {}
         shard_sections: Dict[str, Dict[str, object]] = {}
         answered_total = 0
         for shard in self._shards:
@@ -812,10 +814,12 @@ class ShardedEngine:
                     rollup_cache["maxsize"], cache_section.get("maxsize", 0)
                 )
                 _merge_batcher_counters(rollup_batcher, worker.get("batcher", {}))
-                for name, value in worker.get("maintenance", {}).items():
-                    rollup_maintenance[name] = (
-                        rollup_maintenance.get(name, 0) + value
-                    )
+                for rollup, block in (
+                    (rollup_maintenance, "maintenance"),
+                    (rollup_exploration, "exploration"),
+                ):
+                    for name, value in worker.get(block, {}).items():
+                        rollup[name] = rollup.get(name, 0) + value
                 section["cache_hits"] = cache_section.get("hits", 0)
                 section["cache_misses"] = cache_section.get("misses", 0)
                 section["worker_qps"] = worker.get("worker", {}).get("qps", 0.0)
@@ -846,6 +850,7 @@ class ShardedEngine:
             "result_cache": rollup_cache,
             "connection_index": connection,
             "batcher": rollup_batcher,
+            "exploration": rollup_exploration,
             **shard_sections,
         }
 

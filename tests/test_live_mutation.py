@@ -41,6 +41,7 @@ from repro.core.instance import (
 )
 from repro.engine import Engine, MutationRequest, ShardedEngine, run_serve
 from repro.engine.http import http_call
+from repro.eval import format_engine_stats
 from repro.rdf import URI
 from repro.social import Tag
 
@@ -346,6 +347,16 @@ class TestEngineMutate:
         assert maintenance["deltas_applied"] == 2
         assert maintenance["fallback_rebuilds"] == 0
         assert maintenance["patch_wall_seconds"] >= 0.0
+        # The per-stage shares are parts of the patch wall time.
+        stages = ("prox_patch_seconds", "connection_patch_seconds", "evict_seconds")
+        assert all(maintenance[stage] >= 0.0 for stage in stages)
+        assert maintenance["prox_patch_seconds"] > 0.0
+        assert (
+            sum(maintenance[stage] for stage in stages)
+            <= maintenance["patch_wall_seconds"] + 1e-6
+        )
+        rendered = format_engine_stats(engine.stats())
+        assert all(stage in rendered for stage in stages)
         engine.close()
 
     def test_kernel_version_is_public(self):
@@ -578,8 +589,12 @@ class TestShardedMutate:
                 assert _ranked(answer.result) == _ranked(
                     oracle.search(seeker, keywords, k=4)
                 )
-            maintenance = engine.stats()["maintenance"]
-            assert maintenance["mutations_applied"] >= 2  # both workers
+            stats = engine.stats()
+            assert stats["maintenance"]["mutations_applied"] >= 2  # both workers
+            assert stats["maintenance"]["prox_patch_seconds"] > 0.0
+            # The workers' kernel counters roll up like the other blocks.
+            assert stats["exploration"]["batch_refresh_passes"] >= 1
+            assert stats["exploration"]["phase_step_seconds"] >= 0.0
         finally:
             engine.close()
 
