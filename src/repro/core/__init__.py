@@ -16,7 +16,6 @@ from .paths import (
 from .prox import ProximityIndex
 from .score import FeasibleScore
 from .search import (
-    Candidate,
     QueryState,
     RankedResult,
     S3kSearch,
@@ -30,7 +29,6 @@ __all__ = [
     "FeasibleScore",
     "SearchResult",
     "RankedResult",
-    "Candidate",
     "QueryState",
     "Component",
     "ComponentIndex",

@@ -3,29 +3,31 @@
 The instance is explored breadth-first from the seeker; at iteration ``n``
 the *exploration border* holds the proximity mass of all length-``n``
 social paths (``borderProx``, stepped by the sparse engine of
-:mod:`repro.core.prox`).  Documents are collected into a candidate set as
-their connected components are reached; every candidate carries a
-``[lower, upper]`` score interval, refined as proximity accumulates, and a
-*threshold* bounds the score of every document still unexplored.  The
-search stops (Algorithm 2) when the greedy top-k assembly is provably
-final — no candidate or unexplored document can change the picks; an
-*anytime* mode instead stops on an iteration / time budget and returns
-the best candidates by upper bound.
+:mod:`repro.core.prox`).  Documents become candidates as their connected
+components are reached; every candidate carries a ``[lower, upper]``
+score interval, refined as proximity accumulates, and a *threshold*
+bounds the score of every document still unexplored.  The search stops
+(Algorithm 2) when the greedy top-k assembly is provably final — no
+candidate or unexplored document can change the picks; an *anytime* mode
+instead stops on an iteration / time budget and returns the best
+candidates by upper bound.
 
-Two execution modes share one code path: :meth:`S3kSearch.search`
-answers a single query, and :meth:`S3kSearch.search_many` advances a
-whole batch of :class:`QueryState` objects in lock-step over the shared
-immutable indexes, one ``T^T @ B`` mat-mat proximity step per iteration.
+There is one exploration path: :meth:`S3kSearch.search_many` advances a
+batch of :class:`QueryState` objects in lock-step over the shared
+immutable indexes, one ``T^T @ B`` mat-mat proximity step per iteration,
+and :meth:`S3kSearch.search` is a batch of one.  A query's candidates
+exist only as positions of its :class:`_BoundsLayout` arrays — bounds
+refresh, cleaning, the stop test and the final assembly are all passes
+over those arrays.
 """
 
 from __future__ import annotations
 
 import math
 import time
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -46,44 +48,14 @@ from .instance import CommentEdgeDelta, MutationDelta, S3Instance, TagDelta
 from .prox import ProximityIndex
 from .score import FeasibleScore
 
+if TYPE_CHECKING:  # the engine package sits above core
+    from ..engine.request import QueryRequest
+
 #: Interval slack absorbing float rounding when comparing bounds.
 TIE_EPSILON = 1e-9
 #: Hard cap on exploration depth (anytime fallback); the threshold stop
 #: normally triggers far earlier.
 DEFAULT_MAX_ITERATIONS = 300
-
-#: minimum iterations between batch-layout rebuilds while states keep
-#: growing (a rebuild concatenates every active state's layout; during
-#: the early discovery storm the per-state refresh path is cheaper)
-_REBUILD_INTERVAL = 4
-
-#: Shared empty index array for iterations that reach no new nodes.
-
-
-@dataclass
-class Candidate:
-    """A candidate answer with its score interval."""
-
-    uri: URI
-    root: URI
-    depth: int
-    #: query keyword -> [(structural distance, source)]
-    connections: Dict[Term, List[Tuple[int, URI]]]
-    sources: Set[URI]
-    #: Dewey identifier of the fragment, cached for neighbor checks
-    dewey: Tuple[int, ...] = ()
-    lower: float = 0.0
-    upper: float = math.inf
-    #: flat views of ``connections`` shared with the candidate template —
-    #: connection count per keyword, precomputed structural weights
-    #: (``η^distance``) and sources in keyword order — from which
-    #: :class:`_BoundsLayout` is rebuilt with array gathers instead of
-    #: per-candidate dict walks
-    kw_counts: Tuple[int, ...] = ()
-    conn_weights: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.float64)
-    )
-    conn_sources: List[URI] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -111,12 +83,11 @@ class SearchResult:
     components_discarded: int
     candidate_uris: Set[URI] = field(default_factory=set)
     extended_keyword_count: int = 0
-    #: Position of the query within its batch (0 for sequential queries).
+    #: Position of the query within its batch (0 for a single ``search``).
     batch_index: int = 0
-    #: Submission-to-answer latency in seconds.  Equals
-    #: ``elapsed_seconds`` for sequential queries; under batched execution
-    #: it includes the time spent advancing the other queries in lock-step,
-    #: which is what a caller waiting on this query actually observes.
+    #: Submission-to-answer latency in seconds: includes the time spent
+    #: advancing the other queries of the batch in lock-step, which is
+    #: what a caller waiting on this query actually observes.
     wall_time: float = 0.0
 
     @property
@@ -130,9 +101,9 @@ class QueryState:
     """Per-query exploration state (Section 4), separate from the indexes.
 
     Everything the S3k loop mutates while answering one query lives here:
-    the proximity border and its accumulated mass, the candidate set with
-    its score intervals, the unexplored-document threshold, and the
-    termination bookkeeping.  The engine itself only holds shared immutable
+    the accumulated proximity mass, the candidate layout with its score
+    intervals, the unexplored-document threshold, and the termination
+    bookkeeping.  The engine itself only holds shared immutable
     indexes, so any number of ``QueryState`` objects can be advanced
     concurrently over the same :class:`S3kSearch` — the seam that batched
     (and later sharded / async) execution builds on.
@@ -150,6 +121,7 @@ class QueryState:
     started: float
     batch_index: int = 0
     # -- exploration state (None / empty until prepared) ----------------
+    #: the seeker's start vector; the batch stacks it into its border matrix
     border: Optional[np.ndarray] = None
     accumulated: Optional[np.ndarray] = None
     weight_bounds: List[float] = field(default_factory=list)
@@ -164,18 +136,13 @@ class QueryState:
     #: latched once ``matching ⊆ processed`` — the subset test is O(|matching|)
     #: and monotone (``processed`` only grows), so it never needs re-checking
     all_matched: bool = False
-    #: flat index layout driving the vectorized bound updates; owns the
-    #: authoritative ``lowers`` / ``uppers`` arrays (scattered back into
-    #: the :class:`Candidate` objects lazily, only before slow paths)
-    layout: Optional["_BoundsLayout"] = None
-    #: set while the state's layout has grown past the batch-wide layout
-    #: snapshot — the state refreshes per-state until the next rebuild
-    needs_own_refresh: bool = False
+    #: the candidate set: one position per gathered candidate, with the
+    #: ``lowers`` / ``uppers`` / ``removed`` arrays every pass works on
+    layout: "_BoundsLayout" = field(default_factory=lambda: _BoundsLayout())
     #: nonzero rows of ``seen`` captured at batch retirement (``seen``
     #: itself is dropped with the column views); feeds the result cache's
     #: scoped delta eviction
     visited_rows: Optional[np.ndarray] = None
-    candidates: Dict[URI, Candidate] = field(default_factory=dict)
     processed: Set[int] = field(default_factory=set)
     candidate_uris: Set[URI] = field(default_factory=set)
     iterations: int = 0
@@ -190,30 +157,25 @@ class QueryState:
         return (self.keywords, self.semantic)
 
 
-def _concat(parts: List[np.ndarray], dtype) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
-
-
 class _ComponentLayout:
-    """Flat bounds-refresh structure of one component's candidate templates.
+    """Flat bounds-refresh structure of one component's candidates.
 
     The segment arrays (connection weights, per-keyword / per-candidate
     offsets, deduplicated source slots with their closed-neighborhood
-    index runs, vertical-neighbor root groups) depend only on the
-    component and the extended keyword set — never on the seeker — so one
-    block is built per ``(component, keywords)`` pair, cached next to the
-    candidate templates in :class:`_BatchCache`, and shared by every
-    query state that gathers the component.  Per-state and batch-wide
-    layouts are pure concatenations of these blocks with offset shifts.
+    index runs, vertical-neighbor pairs) depend only on the component and
+    the extended keyword set — never on the seeker — so one block is
+    built per ``(component, keywords)`` pair, cached in
+    :class:`_BatchCache`, and shared by every query state that gathers
+    the component.  A query's :class:`_BoundsLayout` is a pure
+    concatenation of these blocks with offset shifts.
 
-    Positions are *template-indexed*: position ``p`` is the ``p``-th
-    template of the component, whether or not it is live (a candidate
-    with an empty connection list for some keyword has a constant
-    ``[0, 0]`` interval — the score is a product over keywords — and is
-    settled at creation, outside the refresh).  Source proximity is
-    deduplicated per component: a source's proximity is a ``reduceat``
-    over its own sorted neighborhood run, so the slot arrangement cannot
-    change the float results.
+    Position ``p`` is the ``p``-th candidate of the component, whether or
+    not it is *live* (a candidate with an empty connection list for some
+    keyword has a constant ``[0, 0]`` interval — the score is a product
+    over keywords — and is settled at creation, outside the refresh).
+    Source proximity is deduplicated per component: a source's proximity
+    is a ``reduceat`` over its own sorted neighborhood run, so the slot
+    arrangement cannot change the float results.
     """
 
     __slots__ = (
@@ -230,46 +192,35 @@ class _ComponentLayout:
         "source_offsets",
         "nonempty",
         "n_slots",
-        "group_pos",
-        "group_offsets",
         "depths",
         "uris",
+        "uri_terms",
         "pair_shallow",
         "pair_deep",
     )
 
 
 class _BoundsLayout:
-    """Append-only flat layout of one query's candidate/connection state.
+    """Append-only flat layout of one query's candidate set.
 
     Grows by whole :class:`_ComponentLayout` blocks as exploration
-    discovers matching components; :meth:`ensure` concatenates the block
-    arrays (with offset shifts) only when something was appended since
-    the last build.  Candidate positions are stable for the lifetime of
-    the query — cleaning removes candidates from the *dict*, never from
-    the arrays; stale rows merely keep refreshing (their bounds stay
-    valid, see the screen soundness notes on the kernel methods).
-
-    The layout owns the authoritative ``lowers`` / ``uppers`` arrays,
-    refreshed once per iteration (per state or batch-wide).  The
-    :class:`Candidate` objects' ``lower`` / ``upper`` attributes are
-    written back lazily by :meth:`S3kSearch._sync_bounds`, only when a
-    slow path (full clean / full stop replay / final assembly) is about
-    to read them; ``synced`` tracks whether that write-back is current.
-
-    ``removed`` marks positions whose candidate the exact clean has
-    dropped from the dict.  The rows still refresh (keeping the arrays a
-    plain superset image), but the certification screens substitute
-    neutral values for them — without the mask, the very gap that caused
-    a removal keeps flagging no-op full cleans forever.
+    discovers matching components (a component is gathered at most once
+    per query, so positions ↔ candidates); :meth:`ensure` concatenates
+    the block arrays (with offset shifts) only when something was
+    appended since the last build.  Positions are stable for the lifetime
+    of the query and *are* the candidates: ``lowers`` / ``uppers`` hold
+    the score intervals (refreshed once per iteration), ``depths`` /
+    ``uri_rank`` the static sort keys of the exact ``(-bound, -depth,
+    uri)`` orderings, ``pair_*`` the vertical-neighbor pairs, and
+    ``removed`` marks the positions cleaning has dropped.  Removed rows
+    keep refreshing (the arrays stay a plain superset image); every pass
+    that certifies something skips them or substitutes neutral values.
     """
 
     __slots__ = (
         "blocks",
         "built_blocks",
-        "candidates",
         "dirty",
-        "synced",
         "n_all",
         "n_live",
         "live_pos",
@@ -287,26 +238,21 @@ class _BoundsLayout:
         "source_offsets",
         "nonempty",
         "n_slots",
-        "group_pos",
-        "group_offsets",
         "conn_base",
         "kw_base",
-        "group_base",
         "depths",
         "uris",
+        "uri_terms",
         "uri_rank",
         "pair_shallow",
         "pair_deep",
         "pair_set",
-        "has_duplicates",
     )
 
     def __init__(self) -> None:
         self.blocks: List[_ComponentLayout] = []
         self.built_blocks = 0
-        self.candidates: List[Candidate] = []
         self.dirty = False
-        self.synced = True
         self.n_all = 0
         self.n_live = 0
         self.live_pos = np.empty(0, dtype=np.intp)
@@ -314,12 +260,11 @@ class _BoundsLayout:
         self.uppers = np.empty(0, dtype=np.float64)
         self.removed = np.zeros(0, dtype=bool)
         self.n_removed = 0
-        self.screen_cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self.screen_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: ``(min raw upper, max raw lower)`` over the live rows of the
-        #: last refresh, recorded by whichever refresh pass ran (batch
-        #: segment reductions or the per-state pass).  Raw means removed
-        #: rows are included, which only loosens the bracket — the screens
-        #: use it for sound one-compare fast paths.
+        #: last refresh.  Raw means removed rows are included, which only
+        #: loosens the bracket — the screens use it for sound one-compare
+        #: fast paths.
         self.batch_stats: Optional[Tuple[float, float]] = None
         self.conn_weight = np.empty(0, dtype=np.float64)
         self.conn_src = np.empty(0, dtype=np.intp)
@@ -329,13 +274,12 @@ class _BoundsLayout:
         self.source_offsets = np.empty(0, dtype=np.intp)
         self.nonempty = np.empty(0, dtype=np.intp)
         self.n_slots = 0
-        self.group_pos = np.empty(0, dtype=np.intp)
-        self.group_offsets = np.empty(0, dtype=np.intp)
         self.conn_base = 0
         self.kw_base = 0
-        self.group_base = 0
         self.depths = np.empty(0, dtype=np.intp)
         self.uris = np.empty(0, dtype=np.str_)
+        #: position → candidate URI, for the answer and ``candidate_uris``
+        self.uri_terms: List[URI] = []
         #: tie-break rank: position → index in the ascending-URI order of
         #: all positions (URIs are unique across components)
         self.uri_rank = np.empty(0, dtype=np.intp)
@@ -343,15 +287,22 @@ class _BoundsLayout:
         self.pair_deep = np.empty(0, dtype=np.intp)
         #: ``(min_pos, max_pos)`` membership view of the pair arrays
         self.pair_set: Set[Tuple[int, int]] = set()
-        #: defensive: a candidate appeared at two positions — the exact
-        #: screens assume positions ↔ dict members, so they stand down
-        self.has_duplicates = False
 
-    def append(self, block: _ComponentLayout, candidates: List[Candidate]) -> None:
-        """Add one gathered component's block (candidates in template order)."""
+    def append(self, block: _ComponentLayout) -> None:
+        """Add one gathered component's block."""
         self.blocks.append(block)
-        self.candidates.extend(candidates)
+        self.uri_terms.extend(block.uri_terms)
         self.dirty = True
+
+    def excluder(self, position: int, picked: List[int]) -> int:
+        """The first of *picked* that is a vertical neighbor of
+        *position* (the two can share only one answer slot), or -1."""
+        pair_set = self.pair_set
+        for pick in picked:
+            key = (position, pick) if position < pick else (pick, position)
+            if key in pair_set:
+                return pick
+        return -1
 
     def ensure(self) -> None:
         """Concatenate newly appended block arrays onto the built layout.
@@ -385,24 +336,10 @@ class _BoundsLayout:
             self.conn_base = block.n_conns
             self.kw_base = block.n_kws
             self.n_slots = block.n_slots
-            self.group_pos = block.group_pos
-            self.group_offsets = block.group_offsets
-            self.group_base = int(block.group_pos.size)
             self.depths = block.depths
             self.uris = block.uris
             self.pair_shallow = block.pair_shallow
             self.pair_deep = block.pair_deep
-            if block.pair_shallow.size:
-                self.pair_set = set(
-                    zip(
-                        np.minimum(
-                            block.pair_shallow, block.pair_deep
-                        ).tolist(),
-                        np.maximum(
-                            block.pair_shallow, block.pair_deep
-                        ).tolist(),
-                    )
-                )
             self._finish_build()
             return
         live_parts: List[np.ndarray] = [self.live_pos]
@@ -413,8 +350,6 @@ class _BoundsLayout:
         concat_parts: List[np.ndarray] = [self.source_concat]
         offset_parts: List[np.ndarray] = [self.source_offsets]
         nonempty_parts: List[np.ndarray] = [self.nonempty]
-        group_parts: List[np.ndarray] = [self.group_pos]
-        group_offset_parts: List[np.ndarray] = [self.group_offsets]
         depth_parts: List[np.ndarray] = [self.depths]
         uri_parts: List[np.ndarray] = [self.uris]
         pair_shallow_parts: List[np.ndarray] = [self.pair_shallow]
@@ -424,7 +359,6 @@ class _BoundsLayout:
         kw_base = self.kw_base
         slot_base = self.n_slots
         source_base = int(self.source_concat.size)
-        group_base = self.group_base
         for block in self.blocks[self.built_blocks :]:
             if block.n_live:
                 live_parts.append(block.live + cand_base)
@@ -435,28 +369,16 @@ class _BoundsLayout:
                 concat_parts.append(block.source_concat)
                 offset_parts.append(block.source_offsets + source_base)
                 nonempty_parts.append(block.nonempty + slot_base)
-            if block.group_pos.size:
-                group_parts.append(block.group_pos + cand_base)
-                group_offset_parts.append(block.group_offsets + group_base)
             depth_parts.append(block.depths)
             uri_parts.append(block.uris)
             if block.pair_shallow.size:
-                shallow = block.pair_shallow + cand_base
-                deep = block.pair_deep + cand_base
-                pair_shallow_parts.append(shallow)
-                pair_deep_parts.append(deep)
-                self.pair_set.update(
-                    zip(
-                        np.minimum(shallow, deep).tolist(),
-                        np.maximum(shallow, deep).tolist(),
-                    )
-                )
+                pair_shallow_parts.append(block.pair_shallow + cand_base)
+                pair_deep_parts.append(block.pair_deep + cand_base)
             cand_base += block.n_all
             conn_base += block.n_conns
             kw_base += block.n_kws
             slot_base += block.n_slots
             source_base += block.source_concat.size
-            group_base += block.group_pos.size
         self.built_blocks = len(self.blocks)
         self.n_all = cand_base
         self.conn_base = conn_base
@@ -471,9 +393,6 @@ class _BoundsLayout:
         self.source_offsets = np.concatenate(offset_parts)
         self.nonempty = np.concatenate(nonempty_parts)
         self.n_slots = slot_base
-        self.group_pos = np.concatenate(group_parts)
-        self.group_offsets = np.concatenate(group_offset_parts)
-        self.group_base = group_base
         self.depths = np.concatenate(depth_parts)
         self.uris = np.concatenate(uri_parts)
         self.pair_shallow = np.concatenate(pair_shallow_parts)
@@ -481,11 +400,20 @@ class _BoundsLayout:
         self._finish_build()
 
     def _finish_build(self) -> None:
+        # Pairs are distinct, so the set's size is the count already
+        # registered and the tail of the pair arrays is what is new.
+        shallow = self.pair_shallow[len(self.pair_set) :]
+        if shallow.size:
+            deep = self.pair_deep[len(self.pair_set) :]
+            self.pair_set.update(
+                zip(
+                    np.minimum(shallow, deep).tolist(),
+                    np.maximum(shallow, deep).tolist(),
+                )
+            )
         # Ascending-URI rank across all positions, the static third key of
-        # the exact orderings ``(-bound, -depth, uri)`` the screens
-        # replay.  numpy unicode comparison is code-point-wise exactly
-        # like ``str``; the stable kind preserves position order on ties
-        # (duplicate URIs), matching the Python sort it replaces.
+        # the exact orderings ``(-bound, -depth, uri)``.  numpy unicode
+        # comparison is code-point-wise exactly like ``str``.
         order = np.argsort(self.uris, kind="stable")
         rank = np.empty(self.n_all, dtype=np.intp)
         rank[order] = np.arange(self.n_all, dtype=np.intp)
@@ -501,83 +429,6 @@ class _BoundsLayout:
         self.screen_cache = None
         self.batch_stats = None
         self.dirty = False
-
-
-class _BatchLayout:
-    """Concatenation of the active states' layouts for one shared refresh.
-
-    Scales every source gather index by the column count (*row_stride* =
-    number of active queries) and adds the query column, so a single flat
-    gather against the C-contiguous column-major ``(size, n_active)``
-    accumulated matrix feeds one ``reduceat`` pass refreshing every
-    query's ``[lower, upper]`` intervals.  Rebuilt only when enough
-    states gathered new candidates or the batch compacted (column
-    retirement changes the stride).
-    """
-
-    __slots__ = (
-        "gather",
-        "source_offsets",
-        "nonempty",
-        "n_slots",
-        "conn_src",
-        "conn_weight",
-        "kw_offsets",
-        "cand_offsets",
-        "scatter",
-        "seg_starts",
-    )
-
-    def __init__(self, active: List["QueryState"], row_stride: int) -> None:
-        gather_parts: List[np.ndarray] = []
-        offset_parts: List[np.ndarray] = []
-        nonempty_parts: List[np.ndarray] = []
-        src_parts: List[np.ndarray] = []
-        weight_parts: List[np.ndarray] = []
-        kw_parts: List[np.ndarray] = []
-        cand_parts: List[np.ndarray] = []
-        #: (layout, start, count, live positions) per included state —
-        #: output rows ``[start, start + count)`` scatter into ``layout``.
-        #: *count* / *live positions* are snapshots from build time: a
-        #: layout that grows later refreshes per-state until the next
-        #: rebuild, and the snapshot keeps the old segment widths aligned
-        #: (the prefix rows it writes are still the same candidates).
-        self.scatter: List[Tuple[_BoundsLayout, int, int, np.ndarray]] = []
-        conn_base = kw_base = slot_base = source_base = 0
-        out_base = 0
-        for row, state in enumerate(active):
-            layout = state.layout
-            if layout is None:
-                continue
-            layout.ensure()
-            if not layout.n_live:
-                continue
-            gather_parts.append(layout.source_concat * np.int64(row_stride) + row)
-            offset_parts.append(layout.source_offsets + source_base)
-            nonempty_parts.append(layout.nonempty + slot_base)
-            src_parts.append(layout.conn_src + slot_base)
-            weight_parts.append(layout.conn_weight)
-            kw_parts.append(layout.kw_offsets + conn_base)
-            cand_parts.append(layout.cand_offsets + kw_base)
-            self.scatter.append((layout, out_base, layout.n_live, layout.live_pos))
-            conn_base += layout.conn_weight.size
-            kw_base += layout.kw_offsets.size
-            slot_base += layout.n_slots
-            source_base += layout.source_concat.size
-            out_base += layout.n_live
-        self.gather = _concat(gather_parts, np.int64)
-        self.source_offsets = _concat(offset_parts, np.intp)
-        self.nonempty = _concat(nonempty_parts, np.intp)
-        self.n_slots = slot_base
-        self.conn_src = _concat(src_parts, np.intp)
-        self.conn_weight = _concat(weight_parts, np.float64)
-        self.kw_offsets = _concat(kw_parts, np.intp)
-        self.cand_offsets = _concat(cand_parts, np.intp)
-        #: start row of each scattered state's segment, for the one-pass
-        #: per-segment ``reduceat`` certification stats
-        self.seg_starts = np.asarray(
-            [start for _, start, _, _ in self.scatter], dtype=np.intp
-        )
 
 
 class _LRUDict(OrderedDict):
@@ -736,11 +587,11 @@ class _BatchCache:
     (keywords, semantic) pair — never on the seeker — so queries that
     repeat keywords (the common case under heavy traffic) share the
     keyword extension, the component matching, the per-keyword weight
-    bounds and, most importantly, the per-component candidate templates.
-    Unbounded instances live for one :meth:`S3kSearch.search_many` batch
-    (PR 1's behavior); with *maxsize* the engine keeps one bounded,
-    LRU-evicting instance alive across batches and sequential queries, so
-    unique-seeker traffic that repeats keywords never re-gathers.
+    bounds and, most importantly, the per-component candidate layouts.
+    Unbounded instances live for one :meth:`S3kSearch.search_many` batch;
+    with *maxsize* the kernel keeps one bounded, LRU-evicting instance
+    alive across batches, so unique-seeker traffic that repeats keywords
+    never re-gathers.
     """
 
     def __init__(self, maxsize: Optional[int] = None) -> None:
@@ -752,8 +603,6 @@ class _BatchCache:
         self.matching: Dict[Tuple, Set[int]] = factory()
         #: (keywords, semantic) -> per-keyword weight bounds
         self.weight_bounds: Dict[Tuple, List[float]] = factory()
-        #: (component ident, (keywords, semantic)) -> candidate templates
-        self.component_candidates: Dict[Tuple, List[Tuple]] = factory()
         #: (component ident, (keywords, semantic)) -> _ComponentLayout
         self.component_layouts: Dict[Tuple, _ComponentLayout] = factory()
 
@@ -761,7 +610,6 @@ class _BatchCache:
         self.extensions.clear()
         self.matching.clear()
         self.weight_bounds.clear()
-        self.component_candidates.clear()
         self.component_layouts.clear()
 
 
@@ -774,23 +622,6 @@ def _normalize_keywords(keywords: Sequence[object]) -> Tuple[Term, ...]:
         if term not in terms:
             terms.append(term)
     return tuple(terms)
-
-
-def _coerce_query(query: object, default_k: int) -> Tuple[object, Sequence[object], int]:
-    """Deprecated shim: use :meth:`repro.engine.QueryRequest.from_obj`.
-
-    The ad-hoc ``(seeker, keywords, k)`` coercion moved into the typed
-    request layer; this name survives only for external callers.
-    """
-    warnings.warn(
-        "_coerce_query is deprecated; use repro.engine.QueryRequest.from_obj",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..engine.request import QueryRequest
-
-    request = QueryRequest.from_obj(query, default_k=default_k)
-    return request.seeker, request.keywords, request.k
 
 
 class S3kSearch:
@@ -809,7 +640,7 @@ class S3kSearch:
     lazy builds.  *result_cache_size* bounds the LRU cache of finished
     answers and *plan_cache_size* the LRU cache of seeker-independent
     query plans (extensions, matching components, weight bounds,
-    candidate templates) shared across batches; 0 disables either.
+    candidate layouts) shared across batches; 0 disables either.
     """
 
     def __init__(
@@ -850,18 +681,18 @@ class S3kSearch:
         self._keyword_nodes: Dict[Term, List[URI]] = {}
         self._keyword_tags: Dict[Term, List[URI]] = {}
         self._component_stats: Dict[int, Tuple[int, int, int]] = {}
-        #: fast-path / slow-path certification counters (monotone)
+        #: certification counters (monotone): *fast* checks were settled
+        #: by the refresh-time bracket, *full* ones ran the exact
+        #: position pass
         self._stats: Dict[str, int] = {
             "stop_checks_fast": 0,
             "stop_checks_full": 0,
             "clean_checks_fast": 0,
             "clean_checks_full": 0,
             "bounds_refresh_rows": 0,
-            "batch_refresh_passes": 0,
-            "batch_layout_builds": 0,
         }
-        #: wall seconds per batched-loop phase (read inside search_many,
-        #: a sanctioned budget hook of the determinism lint)
+        #: wall seconds per exploration-loop phase (read inside
+        #: search_many, a sanctioned budget hook of the determinism lint)
         self._phase_seconds: Dict[str, float] = {
             "step": 0.0,
             "discover": 0.0,
@@ -878,12 +709,12 @@ class S3kSearch:
 
         All three also self-invalidate lazily against
         :attr:`S3Instance.version`, so this explicit hook is for callers
-        that mutate content bypassing the ``add_*`` methods.  Note the
-        structural indexes (proximity matrix, component partition,
-        keyword inverted indexes) are built once per engine: the version
-        checks guarantee no *stale replay* after a mutation, but a
-        mutated instance should get a freshly constructed engine for
-        fully up-to-date answers.
+        that mutate content bypassing the ``add_*`` methods.  The version
+        checks only guarantee no *stale replay*: the structural indexes
+        (proximity matrix, component partition, keyword inverted indexes)
+        follow a mutation through :meth:`apply_deltas`, and when that
+        returns ``None`` the kernel must be rebuilt (the
+        :class:`~repro.engine.facade.Engine` does both).
         """
         self._caches_version = self.instance.version
         if self._result_cache is not None:
@@ -917,9 +748,9 @@ class S3kSearch:
 
     @property
     def exploration_stats(self) -> Dict[str, object]:
-        """Fast-/slow-path certification counters and the per-phase wall
-        seconds of the batched loop (what ``/stats`` surfaces to make the
-        screen hit rate observable)."""
+        """Bracket-screened / exact-pass certification counters and the
+        per-phase wall seconds of the exploration loop (what ``/stats``
+        surfaces to make the screen hit rate observable)."""
         merged: Dict[str, object] = dict(self._stats)
         for phase, seconds in self._phase_seconds.items():
             merged[f"phase_{phase}_seconds"] = round(seconds, 6)
@@ -1144,7 +975,7 @@ class S3kSearch:
         extension untouched.  Matching sets and weight bounds fall when
         their upstream fell, when a new tag keyword enters the key's
         extension atoms, or when a touched component feeds the bounds;
-        per-component candidate plans fall with their component.
+        per-component candidate layouts fall with their component.
         Surviving component layouts get their dense source-index runs
         remapped when the proximity universe grew.
         """
@@ -1180,12 +1011,11 @@ class S3kSearch:
             if matching is None or (touched and matching & touched):
                 del cache.weight_bounds[key]
                 evicted += 1
-        for store in (cache.component_candidates, cache.component_layouts):
-            for entry_key in list(store):
-                ident, key = entry_key
-                if ident in touched or key in stale_keys:
-                    del store[entry_key]
-                    evicted += 1
+        for entry_key in list(cache.component_layouts):
+            ident, key = entry_key
+            if ident in touched or key in stale_keys:
+                del cache.component_layouts[entry_key]
+                evicted += 1
         if old_to_new is not None:
             for layout in cache.component_layouts.values():
                 # Fresh array assignment — adopted block arrays are shared
@@ -1195,11 +1025,8 @@ class S3kSearch:
 
     def _result_meta(self, state: QueryState) -> _ResultMeta:
         """Eviction footprint of a finished query (see :class:`_ResultMeta`)."""
-        if state.visited_rows is not None:
-            visited = state.visited_rows
-        elif state.seen is not None:
-            visited = np.flatnonzero(state.seen)
-        else:
+        visited = state.visited_rows
+        if visited is None:  # born done: never stepped
             visited = np.empty(0, dtype=np.intp)
         terms: Set[Term] = set(state.keywords)
         for extension in state.extensions.values():
@@ -1271,47 +1098,33 @@ class S3kSearch:
         extensions: Dict[Term, Set[Term]],
         resolver: Callable[[URI, Term], List[Connection]],
     ) -> Tuple:
-        """One candidate's query-independent payload (shared batch-wide).
-
-        Resolves the candidate's root, depth, per-keyword connections and
-        source set, plus the flat arrays (per-keyword counts, distances,
-        sources in keyword order) from which the bounds layout is rebuilt
-        without walking the per-candidate dicts again.
-        """
+        """One candidate's seeker-independent payload: ``(uri, root, depth,
+        dewey, connection count per keyword, structural weights
+        ``η^distance`` and sources of all connections in keyword order)``."""
         document = self.instance.document_of(candidate_uri)
         node = document.node(candidate_uri)
         structural_weight = self.score.structural_weight
-        per_keyword: Dict[Term, List[Tuple[int, URI]]] = {}
-        sources: Set[URI] = set()
         kw_counts: List[int] = []
         weights: List[float] = []
-        flat_sources: List[URI] = []
+        sources: List[URI] = []
         for keyword in extensions:
             resolved = resolver(candidate_uri, keyword)
-            per_keyword[keyword] = [(c.distance, c.source) for c in resolved]
             kw_counts.append(len(resolved))
             for connection in resolved:
                 weights.append(structural_weight(connection.distance))
-                flat_sources.append(connection.source)
-            sources.update(c.source for c in resolved)
+                sources.append(connection.source)
         return (
             candidate_uri,
             document.uri,
             node.depth,
             node.dewey,
-            per_keyword,
+            kw_counts,
+            weights,
             sources,
-            tuple(kw_counts),
-            np.asarray(weights, dtype=np.float64),
-            flat_sources,
         )
 
     def _candidate_templates(
-        self,
-        component: Component,
-        extensions: Dict[Term, Set[Term]],
-        cache: Optional[_BatchCache] = None,
-        cache_key: Optional[Tuple] = None,
+        self, component: Component, extensions: Dict[Term, Set[Term]]
     ) -> List[Tuple]:
         """Query-independent candidate data for one matching component.
 
@@ -1319,14 +1132,8 @@ class S3kSearch:
         a boolean coverage gather and the per-keyword evidence is the
         union of precomputed per-atom slices — no fixpoint runs at query
         time.  Without it, the :class:`ComponentConnections` worklist
-        fixpoint (the oracle path) runs here.  Neither depends on the
-        seeker, so the result is shared across a batch via *cache* (keyed
-        by component and extended keyword set).
+        fixpoint (the oracle path) runs here.
         """
-        if cache is not None and cache_key is not None:
-            cached = cache.component_candidates.get((component.ident, cache_key))
-            if cached is not None:
-                return cached
         if self.connection_index is not None:
             connection_index = self.connection_index
             candidate_uris = connection_index.candidate_documents(
@@ -1353,49 +1160,48 @@ class S3kSearch:
             )
             candidate_uris = connections_index.candidate_documents()
             resolver = connections_index.connections
-        templates = [
+        return [
             self._make_template(candidate_uri, extensions, resolver)
             for candidate_uri in candidate_uris
         ]
-        if cache is not None and cache_key is not None:
-            cache.component_candidates[(component.ident, cache_key)] = templates
-        return templates
 
     def _component_layout(
         self,
-        templates: List[Tuple],
-        cache: Optional[_BatchCache] = None,
-        cache_key: Optional[Tuple] = None,
+        component: Component,
+        extensions: Dict[Term, Set[Term]],
+        cache: _BatchCache,
+        cache_key: Tuple,
     ) -> _ComponentLayout:
-        """The flat refresh block of one component's candidate templates.
+        """The flat candidate block of one matching component.
 
         Seeker-independent (segment offsets, weights, deduplicated source
-        slots with their neighborhood index runs, root groups), so it is
-        computed once per ``(component, keywords)`` pair and shared via
-        *cache* exactly like the templates themselves.  The element order
-        inside every segment mirrors the original per-candidate loops, so
-        the refreshed floats are bit-identical to the per-object path.
+        slots with their neighborhood index runs, vertical-neighbor
+        pairs), so it is computed once per ``(component, keywords)`` pair
+        and shared via *cache*.  The element order inside every segment
+        is the candidates' keyword-major connection order, so the
+        refreshed floats are those of the straightforward per-candidate
+        loops.
         """
-        if cache is not None and cache_key is not None:
-            cached = cache.component_layouts.get(cache_key)
-            if cached is not None:
-                return cached
-        layout = _ComponentLayout()
+        key = (component.ident, cache_key)
+        cached = cache.component_layouts.get(key)
+        if cached is not None:
+            return cached
+        templates = self._candidate_templates(component, extensions)
+        layout = cache.component_layouts[key] = _ComponentLayout()
         live: List[int] = []
         slot_of: Dict[URI, int] = {}
         concat_parts: List[np.ndarray] = []
         source_offsets: List[int] = []
         nonempty: List[int] = []
         conn_src: List[int] = []
-        weight_parts: List[np.ndarray] = []
+        conn_weight: List[float] = []
         kw_offsets: List[int] = []
         cand_offsets: List[int] = []
         by_root: Dict[URI, List[int]] = {}
         total = 0
         for position, template in enumerate(templates):
-            root = template[1]
+            _uri, root, _depth, _dewey, counts, weights, sources = template
             by_root.setdefault(root, []).append(position)
-            counts = template[6]
             if not counts or 0 in counts:
                 continue
             live.append(position)
@@ -1404,7 +1210,7 @@ class S3kSearch:
             for count in counts:
                 kw_offsets.append(offset)
                 offset += count
-            for source in template[8]:
+            for source in sources:
                 slot = slot_of.get(source)
                 if slot is None:
                     slot = len(slot_of)
@@ -1416,20 +1222,12 @@ class S3kSearch:
                         concat_parts.append(indices)
                         total += indices.size
                 conn_src.append(slot)
-            weight_parts.append(template[7])
-        group_pos: List[int] = []
-        group_offsets: List[int] = []
+            conn_weight.extend(weights)
         pair_shallow: List[int] = []
         pair_deep: List[int] = []
         for positions in by_root.values():
-            if len(positions) < 2:
-                continue
-            group_offsets.append(len(group_pos))
-            group_pos.extend(positions)
             # Vertical-neighbor pairs, shallow (strictly smaller depth —
             # a proper dewey prefix is strictly shorter) listed first.
-            # Static per block, so the certification screens can test the
-            # exact directional condition instead of a whole-group gap.
             for index, position_a in enumerate(positions):
                 dewey_a = templates[position_a][3]
                 for position_b in positions[index + 1 :]:
@@ -1446,123 +1244,46 @@ class S3kSearch:
         layout.depths = np.asarray(
             [template[2] for template in templates], dtype=np.intp
         )
+        layout.uri_terms = [template[0] for template in templates]
         # Unicode copies of the candidate URIs: numpy compares code
-        # points exactly like ``str``, so the screens' URI tiebreak rank
-        # comes from one C argsort instead of a Python sort per growth.
+        # points exactly like ``str``, so the URI tiebreak rank comes
+        # from one C argsort instead of a Python sort per growth.
         layout.uris = np.asarray(
-            [str(template[0]) for template in templates], dtype=np.str_
+            [str(uri) for uri in layout.uri_terms], dtype=np.str_
         )
         layout.pair_shallow = np.asarray(pair_shallow, dtype=np.intp)
         layout.pair_deep = np.asarray(pair_deep, dtype=np.intp)
         layout.n_all = len(templates)
         layout.live = np.asarray(live, dtype=np.intp)
         layout.n_live = len(live)
-        layout.conn_weight = _concat(weight_parts, np.float64)
+        layout.conn_weight = np.asarray(conn_weight, dtype=np.float64)
         layout.conn_src = np.asarray(conn_src, dtype=np.intp)
         layout.kw_offsets = np.asarray(kw_offsets, dtype=np.intp)
         layout.cand_offsets = np.asarray(cand_offsets, dtype=np.intp)
-        layout.n_conns = int(layout.conn_weight.size)
+        layout.n_conns = len(conn_src)
         layout.n_kws = len(kw_offsets)
-        layout.source_concat = _concat(concat_parts, np.int64)
+        layout.source_concat = (
+            np.concatenate(concat_parts)
+            if concat_parts
+            else np.empty(0, dtype=np.int64)
+        )
         layout.source_offsets = np.asarray(source_offsets, dtype=np.intp)
         layout.nonempty = np.asarray(nonempty, dtype=np.intp)
         layout.n_slots = len(slot_of)
-        layout.group_pos = np.asarray(group_pos, dtype=np.intp)
-        layout.group_offsets = np.asarray(group_offsets, dtype=np.intp)
-        if cache is not None and cache_key is not None:
-            cache.component_layouts[cache_key] = layout
         return layout
-
-    def _gather_candidates(
-        self,
-        component: Component,
-        extensions: Dict[Term, Set[Term]],
-        state: QueryState,
-        cache: Optional[_BatchCache] = None,
-        cache_key: Optional[Tuple] = None,
-    ) -> int:
-        """Add *component*'s candidates; evidence shared through *cache*.
-
-        The :class:`Candidate` objects themselves are always fresh (their
-        score intervals are per-query state) but their ``connections`` and
-        ``sources`` payloads are immutable and may be shared batch-wide,
-        as is the component's :class:`_ComponentLayout` block appended to
-        the state's bounds layout (components partition the documents, so
-        one component is gathered at most once per query and template
-        order is the candidate order).
-        """
-        templates = self._candidate_templates(component, extensions, cache, cache_key)
-        if not templates:
-            return 0
-        layout_key = (
-            (component.ident, cache_key) if cache_key is not None else None
-        )
-        block = self._component_layout(templates, cache, layout_key)
-        candidates = state.candidates
-        created: List[Candidate] = []
-        added = 0
-        for (
-            candidate_uri,
-            root,
-            depth,
-            dewey,
-            per_keyword,
-            sources,
-            kw_counts,
-            conn_weights,
-            conn_sources,
-        ) in templates:
-            existing = candidates.get(candidate_uri)
-            if existing is not None:
-                created.append(existing)
-                if state.layout is not None:
-                    # Two positions now mirror one candidate; the exact
-                    # certification screens assume positions ↔ dict
-                    # members, so they fall back to conservative tests.
-                    state.layout.has_duplicates = True
-                continue
-            candidate = Candidate(
-                uri=candidate_uri,
-                root=root,
-                depth=depth,
-                dewey=dewey,
-                connections=per_keyword,
-                sources=sources,
-                kw_counts=kw_counts,
-                conn_weights=conn_weights,
-                conn_sources=conn_sources,
-            )
-            if not kw_counts or 0 in kw_counts:
-                # Settled: an empty per-keyword connection list pins the
-                # score (a product over keywords) to the [0, 0] interval.
-                candidate.upper = 0.0
-            candidates[candidate_uri] = candidate
-            created.append(candidate)
-            added += 1
-        if state.layout is not None:
-            state.layout.append(block, created)
-        # Every gathered candidate was examined, whether or not a later
-        # clean drops it — recorded here once instead of re-scanning the
-        # dict every iteration.
-        state.candidate_uris.update(template[0] for template in templates)
-        return added
 
     # ------------------------------------------------------------------
     # Bounds
     # ------------------------------------------------------------------
     def _update_bounds(self, state: QueryState, tail_bound: float) -> None:
-        """Refresh one state's ``[lower, upper]`` arrays (sequential path).
+        """Refresh one state's ``[lower, upper]`` arrays.
 
         ``lower`` uses the accumulated (≤ n-step) source proximities;
         ``upper`` additionally grants every source the remaining proximity
         tail.  All sums/products run over the same elements in the same
         order as the straightforward per-candidate loops, via ``reduceat``.
-        The results land in the layout's flat arrays; the Candidate
-        objects are synced lazily (:meth:`_sync_bounds`).
         """
         layout = state.layout
-        if layout is None:
-            return
         layout.ensure()
         if not layout.n_live:
             return
@@ -1580,443 +1301,169 @@ class S3kSearch:
         upper_vals = np.multiply.reduceat(upper_sums, layout.cand_offsets)
         layout.lowers[layout.live_pos] = lower_vals
         layout.uppers[layout.live_pos] = upper_vals
-        layout.synced = False
         layout.screen_cache = None
         layout.batch_stats = (float(upper_vals.min()), float(lower_vals.max()))
         self._stats["bounds_refresh_rows"] += layout.n_live
 
-    def _refresh_bounds_batch(
-        self, batch: _BatchLayout, acc_rows: np.ndarray, tail_bound: float
-    ) -> None:
-        """One ``reduceat`` pass refreshing every active query's intervals.
+    def _screen_arrays(self, layout: _BoundsLayout) -> Tuple[np.ndarray, np.ndarray]:
+        """``(lowers, uppers)`` with removed positions neutralized.
 
-        *acc_rows* is the C-contiguous column-major ``(size, n_active)``
-        accumulated matrix; the batch layout's gather indices already
-        carry the stride and query column, so a single flat gather
-        replaces the N per-state gathers.  ``reduceat`` reduces each
-        segment independently left-to-right, so concatenating the
-        per-state segments preserves every float bit of the per-state
-        refresh.
-        """
-        if not batch.scatter:
-            return
-        flat = acc_rows.reshape(-1)
-        prox = np.zeros(batch.n_slots, dtype=np.float64)
-        if batch.gather.size:
-            prox[batch.nonempty] = np.add.reduceat(
-                flat[batch.gather], batch.source_offsets
-            )
-        conn_prox = prox[batch.conn_src]
-        lower_terms = batch.conn_weight * conn_prox
-        upper_terms = batch.conn_weight * np.minimum(1.0, conn_prox + tail_bound)
-        lower_sums = np.add.reduceat(lower_terms, batch.kw_offsets)
-        upper_sums = np.add.reduceat(upper_terms, batch.kw_offsets)
-        lowers = np.multiply.reduceat(lower_sums, batch.cand_offsets)
-        uppers = np.multiply.reduceat(upper_sums, batch.cand_offsets)
-        # Per-segment certification stats fall out of the same pass: one
-        # reduceat pair gives every state its (min upper, max lower)
-        # bracket, turning most screen calls into two float compares.
-        seg_max_lower = np.maximum.reduceat(lowers, batch.seg_starts).tolist()
-        seg_min_upper = np.minimum.reduceat(uppers, batch.seg_starts).tolist()
-        refreshed = 0
-        for entry, up_min, lo_max in zip(batch.scatter, seg_min_upper, seg_max_lower):
-            layout, start, count, live_pos = entry
-            stop = start + count
-            layout.lowers[live_pos] = lowers[start:stop]
-            layout.uppers[live_pos] = uppers[start:stop]
-            layout.synced = False
-            layout.screen_cache = None
-            layout.batch_stats = (up_min, lo_max)
-            refreshed += count
-        self._stats["bounds_refresh_rows"] += refreshed
-        self._stats["batch_refresh_passes"] += 1
-
-    def _sync_bounds(self, state: QueryState) -> None:
-        """Scatter the layout's interval arrays into the Candidate objects.
-
-        Slow paths (full clean, full stop replay, final assembly) read
-        ``candidate.lower`` / ``candidate.upper``; everything else works
-        on the flat arrays, so the per-object writes happen only when a
-        slow path is actually about to run.  Settled positions hold 0.0
-        (set once at creation and never refreshed) and stale positions
-        write into objects no longer in the dict — both harmless.
-        """
-        layout = state.layout
-        if layout is None or layout.synced or layout.dirty:
-            return
-        lowers = layout.lowers.tolist()
-        uppers = layout.uppers.tolist()
-        for candidate, lower, upper in zip(layout.candidates, lowers, uppers):
-            candidate.lower = lower
-            candidate.upper = upper
-        layout.synced = True
-
-    # ------------------------------------------------------------------
-    # Vertical-neighbor utilities
-    # ------------------------------------------------------------------
-    def _are_vertical_neighbors(self, a: Candidate, b: Candidate) -> bool:
-        if a.root != b.root:
-            return False
-        dewey_a, dewey_b = a.dewey, b.dewey
-        if len(dewey_a) <= len(dewey_b):
-            shorter, longer = dewey_a, dewey_b
-        else:
-            shorter, longer = dewey_b, dewey_a
-        return longer[: len(shorter)] == shorter
-
-    def _clean_candidates(
-        self, candidates: Dict[URI, Candidate], k: int, tail_bound: float
-    ) -> None:
-        """CleanCandidatesList: drop provably-excluded candidates."""
-        if not candidates:
-            return
-        # (i) candidates that k others surely beat.  The k reference lower
-        # bounds must come from pairwise NON-neighbor candidates: vertical
-        # neighbors can occupy only one answer slot, so a greedy
-        # neighbor-free selection by lower bound is used.  Any neighbor-free
-        # k-set with min lower L forces the answer's k-th score above L,
-        # hence candidates with upper < L can never appear.
-        by_lower = sorted(
-            candidates.values(), key=lambda c: (-c.lower, -c.depth, c.uri)
-        )
-        reference: List[Candidate] = []
-        for candidate in by_lower:
-            if any(self._are_vertical_neighbors(candidate, r) for r in reference):
-                continue
-            reference.append(candidate)
-            if len(reference) == k:
-                break
-        if len(reference) == k:
-            kth_lower = reference[-1].lower
-            for uri in [
-                u
-                for u, c in candidates.items()
-                if c.upper < kth_lower - TIE_EPSILON
-            ]:
-                del candidates[uri]
-        # (ii) candidates dominated by a vertical neighbor.  Removal is
-        # only sound when the dominator is a DESCENDANT: every candidate
-        # that could exclude the descendant from the answer (its vertical
-        # neighbors — nodes on its root path or in its subtree) is then
-        # also a vertical neighbor of the ancestor, so whenever the
-        # descendant is out, the ancestor is out too.  An ancestor
-        # dominating a child gives no such guarantee — the ancestor may
-        # itself be excluded by a pick from a disjoint subtree, leaving
-        # the child eligible — so those pairs are left to the stop
-        # condition's certainty check.
-        by_root: Dict[URI, List[Candidate]] = {}
-        for candidate in candidates.values():
-            by_root.setdefault(candidate.root, []).append(candidate)
-        to_remove: Set[URI] = set()
-        converged = tail_bound < TIE_EPSILON
-        for group in by_root.values():
-            if len(group) < 2:
-                continue
-            for i, a in enumerate(group):
-                for b in group[i + 1 :]:
-                    if not self._are_vertical_neighbors(a, b):
-                        continue
-                    shallow, deep = (a, b) if a.depth <= b.depth else (b, a)
-                    if shallow.upper < deep.lower - TIE_EPSILON:
-                        # Dominated by a descendant: provably excluded.
-                        to_remove.add(shallow.uri)
-                    elif converged and abs(a.upper - b.upper) <= TIE_EPSILON:
-                        # Breakable tie (Theorem 4.2): keep the deeper,
-                        # more specific fragment.
-                        to_remove.add(shallow.uri)
-        for uri in to_remove:
-            candidates.pop(uri, None)
-
-    def _screen_arrays(
-        self, layout: _BoundsLayout
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Effective interval arrays for the certification screens.
-
-        Removed positions (dropped from the dict by a previous exact
-        clean) are substituted with neutral values so the screens see the
-        dict, not the ever-growing superset: lower → 0.0 (never raises a
-        maximum or a k-th order statistic above the dict's), and two
-        upper fills — 0.0 (never raises an upper order statistic; exact
-        for counts of positive uppers) and +inf (never drags a minimum
-        below the dict's).  Cached per refresh; with nothing removed the
-        authoritative arrays serve all three roles unchanged.
+        Removed positions are no longer candidates, so order statistics
+        over the candidate set substitute neutral values for them: lower
+        → 0.0 (never raises a maximum or a k-th largest above the
+        candidates'), upper → +inf (never drags a minimum below the
+        candidates').  Cached per refresh; with nothing removed the
+        authoritative arrays serve unchanged.
         """
         cached = layout.screen_cache
         if cached is None:
             if layout.n_removed:
-                removed = layout.removed
-                lowers_eff = np.where(removed, 0.0, layout.lowers)
-                uppers_zero = np.where(removed, 0.0, layout.uppers)
-                uppers_inf = np.where(removed, math.inf, layout.uppers)
+                cached = (
+                    np.where(layout.removed, 0.0, layout.lowers),
+                    np.where(layout.removed, math.inf, layout.uppers),
+                )
             else:
-                lowers_eff = layout.lowers
-                uppers_zero = layout.uppers
-                uppers_inf = layout.uppers
-            cached = layout.screen_cache = (lowers_eff, uppers_zero, uppers_inf)
+                cached = (layout.lowers, layout.uppers)
+            layout.screen_cache = cached
         return cached
 
+    # ------------------------------------------------------------------
+    # CleanCandidatesList
+    # ------------------------------------------------------------------
     def _reference_kth_lower(
         self, layout: _BoundsLayout, k: int
     ) -> Optional[float]:
-        """Rule (i)'s greedy neighbor-free reference, replayed on positions.
+        """Rule (i)'s reference: the k-th lower bound of a greedy
+        neighbor-free selection.
 
-        Identical selection to :meth:`_clean_candidates`: positions in
-        ``(-lower, -depth, uri)`` order (``lexsort``'s last key is
-        primary; ``uri_rank`` encodes the ascending-URI tiebreak), taking
-        the first k that pairwise avoid the precomputed vertical-neighbor
-        pairs.  Returns the k-th pick's lower bound, or ``None`` when no
-        neighbor-free k-set exists (rule (i) then cannot remove).
+        Candidates are scanned in ``(-lower, -depth, uri)`` order
+        (``lexsort``'s last key is primary; ``uri_rank`` encodes the
+        ascending-URI tiebreak), taking the first k that pairwise avoid
+        the vertical-neighbor pairs — neighbors can occupy only one
+        answer slot.  Returns ``None`` when no neighbor-free k-set exists
+        (rule (i) then cannot remove).
         """
         order = np.lexsort((layout.uri_rank, -layout.depths, -layout.lowers))
         removed = layout.removed if layout.n_removed else None
-        pair_set = layout.pair_set
-        lowers = layout.lowers
         reference: List[int] = []
         for position in order.tolist():
             if removed is not None and removed[position]:
                 continue
-            conflict = False
-            for picked in reference:
-                key = (
-                    (position, picked)
-                    if position < picked
-                    else (picked, position)
-                )
-                if key in pair_set:
-                    conflict = True
-                    break
-            if conflict:
+            if layout.excluder(position, reference) >= 0:
                 continue
             reference.append(position)
             if len(reference) == k:
-                return float(lowers[position])
+                return float(layout.lowers[position])
         return None
 
-    def _clean_screen(self, state: QueryState, tail_bound: float) -> bool:
-        """Exact vector test: can :meth:`_clean_candidates` remove anything?
+    def _clean(self, state: QueryState, tail_bound: float) -> None:
+        """CleanCandidatesList: mark provably-excluded positions removed.
 
-        Runs on the effective interval arrays (:meth:`_screen_arrays`):
-        the rows of dict members carry their authoritative bounds, settled
-        rows hold 0.0 (they are dict members too, until cleaned), and
-        removed rows are neutralized.  Returning ``False`` must prove the
-        exact clean is a no-op; returning ``True`` merely runs it.
+        (i) Candidates that k others surely beat.  Any neighbor-free
+        k-set with min lower L forces the answer's k-th score above L,
+        hence candidates with ``upper < L − eps`` can never appear
+        (:meth:`_reference_kth_lower` picks the set).
 
-        Rule (i) removes a candidate iff ``upper < kth_ref - eps`` for
-        the greedy neighbor-free reference of size k — the screen replays
-        that selection exactly (:meth:`_reference_kth_lower`) and tests
-        the dict's min upper (+inf fills never drag it below the dict's)
-        against it.  Two relaxations run first so the replay is reached
-        only when it can matter: ``kth_ref ≤ kth_unconstrained ≤
-        max_lower`` (the zeros of removed rows never push an order
-        statistic above the dict's).
-
-        Rule (ii) removes exactly when some precomputed vertical pair has
-        ``shallow.upper < deep.lower - eps`` (a descendant-dominated
-        ancestor), or at convergence (``tail_bound < eps``) a breakable
-        tie ``|a.upper - b.upper| ≤ eps`` between live pair members —
-        both tested directly on the pair index arrays.
+        (ii) Candidates dominated by a vertical neighbor, judged for all
+        pairs alive after rule (i) at once.  Removal is only sound when
+        the dominator is a DESCENDANT: every candidate that could exclude
+        the descendant from the answer (nodes on its root path or in its
+        subtree) is then also a vertical neighbor of the ancestor, so
+        whenever the descendant is out, the ancestor is out too.  An
+        ancestor dominating a child gives no such guarantee — it may
+        itself be excluded by a pick from a disjoint subtree, leaving the
+        child eligible — so those pairs are left to the stop test.  At
+        convergence a breakable tie (Theorem 4.2) keeps the deeper, more
+        specific fragment.
         """
         layout = state.layout
-        if (
-            layout is None
-            or layout.dirty
-            or layout.n_all == 0
-            or layout.has_duplicates
-        ):
-            # No trustworthy layout arrays to screen with: run the exact
-            # pass.  Only reachable for stateless corner cases — every
-            # live iteration refreshes right before cleaning.
-            return bool(state.candidates)
+        n_all = layout.n_all
+        if not n_all:
+            return
+        k = state.k
+        shallow, deep = layout.pair_shallow, layout.pair_deep
+        converged = tail_bound < TIE_EPSILON
         stats = layout.batch_stats
         if stats is not None:
-            # Refresh-time bracket, no arrays touched: the raw segment min
-            # never exceeds the dict's min upper (settled rows pin it to
-            # 0.0 when present), the raw max never undershoots any dict
-            # lower.  ``min_upper ≥ max_lower − eps`` therefore rules out
-            # BOTH removal rules at once — rule (i) because the reference
-            # k-th lower is itself ≤ max_lower, rule (ii) because every
+            # Refresh-time bracket, no arrays touched: the raw min never
+            # exceeds the candidates' min upper (settled rows pin it to
+            # 0.0 when present), the raw max never undershoots any
+            # candidate lower.  ``min_upper ≥ max_lower − eps`` rules out
+            # BOTH rules at once — rule (i) because the reference k-th
+            # lower is itself ≤ max_lower, rule (ii) because every
             # shallow upper ≥ min_upper ≥ max_lower − eps ≥ deep lower −
-            # eps.  Only the convergence tie-break (pairs, tail < eps)
-            # escapes the bracket.
-            pairs_empty = not layout.pair_shallow.size
-            if pairs_empty and layout.n_all < state.k:
-                return False
-            if pairs_empty or tail_bound >= TIE_EPSILON:
-                min_upper_bound = (
-                    stats[0]
-                    if layout.n_live == layout.n_all
-                    else min(stats[0], 0.0)
-                )
-                if min_upper_bound >= stats[1] - TIE_EPSILON:
-                    return False
-        lowers, _, uppers = self._screen_arrays(layout)
+            # eps.  Only the convergence tie-break escapes the bracket.
+            min_upper = stats[0] if layout.n_live == n_all else min(stats[0], 0.0)
+            if (not shallow.size and n_all < k) or (
+                (not shallow.size or not converged)
+                and min_upper >= stats[1] - TIE_EPSILON
+            ):
+                self._stats["clean_checks_fast"] += 1
+                return
+        self._stats["clean_checks_full"] += 1
+        lowers, uppers = self._screen_arrays(layout)
+        removed = layout.removed
         min_upper = uppers.min()
         max_lower = lowers.max()
-        if min_upper < max_lower - TIE_EPSILON and layout.n_all >= state.k:
-            if state.k == 1:
-                kth_relaxed = max_lower
-            else:
-                kth_relaxed = np.partition(lowers, layout.n_all - state.k)[
-                    layout.n_all - state.k
-                ]
+        if min_upper < max_lower - TIE_EPSILON and n_all >= k:
+            # Two relaxations keep the greedy replay for when it can
+            # matter: ``kth_ref ≤ k-th largest lower ≤ max_lower`` (the
+            # zeros standing in for removed rows only loosen them).
+            kth_relaxed = (
+                max_lower if k == 1 else np.partition(lowers, n_all - k)[n_all - k]
+            )
             if min_upper < kth_relaxed - TIE_EPSILON:
-                kth_ref = self._reference_kth_lower(layout, state.k)
-                if kth_ref is not None and min_upper < kth_ref - TIE_EPSILON:
-                    return True
-        shallow, deep = layout.pair_shallow, layout.pair_deep
+                kth_ref = self._reference_kth_lower(layout, k)
+                if kth_ref is not None:
+                    removed |= layout.uppers < kth_ref - TIE_EPSILON
         if shallow.size:
-            if bool(np.any(uppers[shallow] < lowers[deep] - TIE_EPSILON)):
-                return True
-            if tail_bound < TIE_EPSILON:
-                raw = layout.uppers
-                tie = np.abs(raw[shallow] - raw[deep]) <= TIE_EPSILON
-                if layout.n_removed:
-                    removed = layout.removed
-                    tie &= ~(removed[shallow] | removed[deep])
-                if bool(np.any(tie)):
-                    return True
-        return False
-
-    def _clean_candidates_screened(
-        self, state: QueryState, tail_bound: float
-    ) -> None:
-        """Run the exact clean only when the vector screen flags the state.
-
-        A clean that removed candidates marks their layout positions in
-        the ``removed`` mask so the next screens stop seeing the rows —
-        the membership diff costs one pass over the positions, paid only
-        when something was actually removed (total removals are bounded
-        by total candidates ever gathered).
-        """
-        candidates = state.candidates
-        if not candidates:
-            return
-        if not self._clean_screen(state, tail_bound):
-            self._stats["clean_checks_fast"] += 1
-            return
-        self._stats["clean_checks_full"] += 1
-        self._sync_bounds(state)
-        n_before = len(candidates)
-        self._clean_candidates(candidates, state.k, tail_bound)
-        layout = state.layout
-        if layout is not None and not layout.dirty and len(candidates) != n_before:
-            removed = layout.removed
-            for position, candidate in enumerate(layout.candidates):
-                if not removed[position] and candidate.uri not in candidates:
-                    removed[position] = True
-            layout.n_removed = int(np.count_nonzero(removed))
+            raw = layout.uppers
+            drop = raw[shallow] < layout.lowers[deep] - TIE_EPSILON
+            if converged:
+                drop |= np.abs(raw[shallow] - raw[deep]) <= TIE_EPSILON
+            drop &= ~(removed[shallow] | removed[deep])
+            removed[shallow[drop]] = True
+        n_removed = int(np.count_nonzero(removed))
+        if n_removed != layout.n_removed:
+            layout.n_removed = n_removed
             layout.screen_cache = None
 
     # ------------------------------------------------------------------
-    # Stop condition (Algorithm 2)
-    # ------------------------------------------------------------------
-    def _stop_condition(
-        self,
-        ordered: List[Candidate],
-        k: int,
-        threshold: float,
-        tail_bound: float,
-    ) -> bool:
-        """True when the greedy top-k assembly is provably final.
-
-        Replays :meth:`_assemble`'s greedy pick over *ordered* (sorted by
-        ``(-upper, -depth, uri)``) and certifies that the exact-score
-        greedy of Definition 3.2 must take the same picks:
-
-        * a candidate skipped for conflicting with a pick must certainly
-          rank below its excluder (``upper <= excluder.lower``), or tie
-          with it at convergence (then the tie-break keeps the excluder);
-        * once the answer is full, the best unpicked, non-conflicting
-          candidate must certainly rank below every pick;
-        * the unexplored-document threshold must not beat the answer.
-        """
-        converged = tail_bound < TIE_EPSILON
-        picked: List[Candidate] = []
-        min_top_lower = math.inf
-        for candidate in ordered:
-            if candidate.upper <= 0.0:
-                continue
-            excluder = next(
-                (
-                    pick
-                    for pick in picked
-                    if self._are_vertical_neighbors(candidate, pick)
-                ),
-                None,
-            )
-            if excluder is not None:
-                if candidate.upper <= excluder.lower + TIE_EPSILON:
-                    continue
-                if converged and abs(candidate.upper - excluder.upper) <= TIE_EPSILON:
-                    continue
-                return False
-            if len(picked) < k:
-                picked.append(candidate)
-                min_top_lower = min(min_top_lower, candidate.lower)
-                continue
-            # Would-be (k+1)-th pick: every remaining candidate has an
-            # upper bound no larger than this one, so certainty for it
-            # certifies the rest.
-            if candidate.upper > min_top_lower + TIE_EPSILON:
-                return False
-            break
-        if len(picked) < k:
-            # Fewer answers than requested: stop once no unexplored
-            # document can join the answer.
-            return threshold <= TIE_EPSILON
-        return threshold <= min_top_lower + TIE_EPSILON
-
-    # ------------------------------------------------------------------
-    # Query lifecycle: prepare -> (check / step)* -> finish
+    # Query lifecycle: prepare -> (step / check)* -> finish
     # ------------------------------------------------------------------
     def _prepare_query(
-        self,
-        seeker: object,
-        keywords: Sequence[object],
-        k: int = 5,
-        semantic: bool = True,
-        max_iterations: Optional[int] = None,
-        time_budget: Optional[float] = None,
-        batch_index: int = 0,
-        cache: Optional[_BatchCache] = None,
+        self, request: "QueryRequest", batch_index: int, cache: _BatchCache
     ) -> QueryState:
         """Build the initial :class:`QueryState` for one query.
 
-        Resolves the seeker, dedupes and extends the keywords, computes
-        the matching components and weight bounds (all shareable through
-        *cache*), and seeds the proximity border on the seeker.  Queries
-        with no matching component are born ``done``.
+        Resolves the seeker, extends the keywords, computes the matching
+        components and weight bounds (all shared through *cache*), and
+        seeds the proximity border on the seeker.  Queries with no
+        matching component are born ``done``.
         """
         started = time.perf_counter()
-        seeker_uri = URI(seeker)
+        seeker_uri = request.seeker
         if seeker_uri not in self.instance.users:
             raise KeyError(f"unknown seeker: {seeker_uri}")
-        query_terms = _normalize_keywords(keywords)
+        query_terms, semantic = request.keywords, request.semantic
         key = (query_terms, semantic)
 
-        extensions: Optional[Dict[Term, Set[Term]]] = None
-        if cache is not None:
-            extensions = cache.extensions.get(key)
+        extensions = cache.extensions.get(key)
         if extensions is None:
             if semantic:
                 extensions = extend_query(self.instance, query_terms)
             else:
                 extensions = {term: {term} for term in query_terms}
-            if cache is not None:
-                cache.extensions[key] = extensions
-
-        matching: Optional[Set[int]] = None
-        if cache is not None:
-            matching = cache.matching.get(key)
+            cache.extensions[key] = extensions
+        matching = cache.matching.get(key)
         if matching is None:
-            matching = self._matching_components(extensions)
-            if cache is not None:
-                cache.matching[key] = matching
+            matching = cache.matching[key] = self._matching_components(extensions)
 
+        max_iterations = request.max_iterations
         state = QueryState(
             seeker=seeker_uri,
             keywords=query_terms,
-            k=k,
+            k=request.k,
             semantic=semantic,
             extensions=extensions,
             extended_keyword_count=sum(len(ext) for ext in extensions.values()),
@@ -2024,18 +1471,16 @@ class S3kSearch:
             hard_cap=(
                 max_iterations if max_iterations is not None else DEFAULT_MAX_ITERATIONS
             ),
-            time_budget=time_budget,
+            time_budget=request.time_budget,
             started=started,
             batch_index=batch_index,
         )
         if matching:
-            weight_bounds: Optional[List[float]] = None
-            if cache is not None:
-                weight_bounds = cache.weight_bounds.get(key)
+            weight_bounds = cache.weight_bounds.get(key)
             if weight_bounds is None:
-                weight_bounds = self._keyword_weight_bounds(extensions, matching)
-                if cache is not None:
-                    cache.weight_bounds[key] = weight_bounds
+                weight_bounds = cache.weight_bounds[key] = (
+                    self._keyword_weight_bounds(extensions, matching)
+                )
             state.weight_bounds = weight_bounds
             state.weight_key = tuple(weight_bounds)
             state.border = self.prox_index.start_vector(seeker_uri)
@@ -2044,11 +1489,13 @@ class S3kSearch:
                 self.score.c_gamma
             )
             state.seen = state.border != 0
-            state.layout = _BoundsLayout()
         else:
             state.done = True
         return state
 
+    # ------------------------------------------------------------------
+    # Stop condition (Algorithm 2)
+    # ------------------------------------------------------------------
     def _stop_replay_positions(
         self,
         layout: _BoundsLayout,
@@ -2056,23 +1503,27 @@ class S3kSearch:
         threshold: float,
         converged: bool,
     ) -> bool:
-        """Position-level mirror of :meth:`_stop_condition`.
+        """True while the greedy top-k assembly is NOT provably final.
 
-        Returns True iff the object replay provably returns False ("can't
-        stop yet"): same ``(-upper, -depth, uri)`` scan order (via
-        ``lexsort`` with the static ``uri_rank`` tiebreak), same first-
-        excluder lookup (the precomputed vertical-pair set), same
-        certification thresholds — but over flat arrays and integer
-        positions instead of sorted :class:`Candidate` objects.  Removed
-        positions are skipped (they are not in the dict); settled ones
-        sort last and terminate the scan exactly like the object replay's
-        ``upper ≤ 0`` skip.
+        Replays :meth:`_assemble`'s greedy pick in ``(-upper, -depth,
+        uri)`` order and checks that the exact-score greedy of
+        Definition 3.2 must take the same picks:
+
+        * a candidate skipped for conflicting with a pick must certainly
+          rank below its excluder (``upper <= excluder.lower``), or tie
+          with it at convergence (then the tie-break keeps the excluder);
+        * once the answer is full, the best unpicked, non-conflicting
+          candidate must certainly rank below every pick (every later
+          candidate has an upper bound no larger, so it certifies them);
+        * the unexplored-document threshold must not beat the answer.
+
+        Removed positions are skipped; settled ones sort last and end
+        the scan.
         """
         lowers = layout.lowers
         uppers = layout.uppers
         removed = layout.removed if layout.n_removed else None
         order = np.lexsort((layout.uri_rank, -layout.depths, -uppers))
-        pair_set = layout.pair_set
         picked: List[int] = []
         min_top_lower = math.inf
         for position in order.tolist():
@@ -2082,14 +1533,7 @@ class S3kSearch:
             if upper <= 0.0:
                 # Descending scan: every remaining upper is ≤ 0 too.
                 break
-            excluder = -1
-            for pick in picked:
-                key = (
-                    (position, pick) if position < pick else (pick, position)
-                )
-                if key in pair_set:
-                    excluder = pick
-                    break
+            excluder = layout.excluder(position, picked)
             if excluder >= 0:
                 if upper <= lowers[excluder] + TIE_EPSILON:
                     continue
@@ -2106,58 +1550,42 @@ class S3kSearch:
                 return True
             break
         if len(picked) < k:
+            # Fewer answers than requested: stop once no unexplored
+            # document can join the answer.
             return threshold > TIE_EPSILON
         return threshold > min_top_lower + TIE_EPSILON
 
-    def _stop_screen(self, state: QueryState, tail_bound: float) -> bool:
-        """Exact test: can the threshold stop possibly fire this iteration?
+    def _stop_screen(self, layout: _BoundsLayout, threshold: float) -> bool:
+        """True when a bracket proves the threshold stop cannot fire.
 
-        Proves :meth:`_stop_condition`'s sorted object replay must return
-        False, skipping it.  A one-pass relaxation runs first — both
-        terminal branches need the threshold at or below some candidate
-        lower (+ eps): the under-filled branch needs ``threshold ≤ eps``
-        (lowers ≥ 0), the full branch ``threshold ≤ min_top_lower + eps ≤
-        max_lower + eps``, where ``max_lower`` over the effective arrays
-        (:meth:`_screen_arrays`) never undershoots the dict's.  When the
-        relaxation can't decide, :meth:`_stop_replay_positions` replays
-        the greedy certification exactly on the flat arrays — so the
-        object replay runs only on the iteration it actually certifies
-        (or when a defensive duplicate made positions untrustworthy).
+        Both terminal branches of :meth:`_stop_replay_positions` need the
+        threshold at or below some candidate lower (+ eps): the
+        under-filled branch needs ``threshold ≤ eps`` (lowers ≥ 0), the
+        full branch ``threshold ≤ min_top_lower + eps ≤ max_lower + eps``.
+        The refresh-time raw max never undershoots the candidates' max
+        lower, so it decides without touching an array; the neutralized
+        arrays (:meth:`_screen_arrays`) give the tight maximum.
         """
-        threshold = state.threshold
-        layout = state.layout
-        if layout is None or layout.dirty or layout.n_all == 0:
+        if not layout.n_all:
             return threshold > TIE_EPSILON
         stats = layout.batch_stats
         if stats is not None and threshold > stats[1] + TIE_EPSILON:
-            # The raw segment max never undershoots the dict's max lower,
-            # so the one-compare relaxation is sound without arrays.
             return True
-        lowers, _, _ = self._screen_arrays(layout)
-        if threshold > lowers.max() + TIE_EPSILON:
-            return True
-        if layout.has_duplicates:
-            return False
-        return self._stop_replay_positions(
-            layout, state.k, threshold, tail_bound < TIE_EPSILON
-        )
+        return threshold > self._screen_arrays(layout)[0].max() + TIE_EPSILON
 
     def _check_stop(self, state: QueryState) -> bool:
         """Algorithm 2's pre-step check; sets ``terminated_by`` / ``done``."""
         if state.done:
             return True
-        tail_bound = self.score.tail_bound_at(state.iterations)
-        if self._stop_screen(state, tail_bound):
-            # The replay provably cannot certify: only the anytime
-            # budgets apply this iteration.
+        if self._stop_screen(state.layout, state.threshold):
+            # Only the anytime budgets apply this iteration.
             self._stats["stop_checks_fast"] += 1
         else:
             self._stats["stop_checks_full"] += 1
-            self._sync_bounds(state)
-            ordered = sorted(
-                state.candidates.values(), key=lambda c: (-c.upper, -c.depth, c.uri)
-            )
-            if self._stop_condition(ordered, state.k, state.threshold, tail_bound):
+            converged = self.score.tail_bound_at(state.iterations) < TIE_EPSILON
+            if not self._stop_replay_positions(
+                state.layout, state.k, state.threshold, converged
+            ):
                 state.terminated_by = "threshold"
                 state.done = True
                 return True
@@ -2173,44 +1601,33 @@ class S3kSearch:
         return state.done
 
     def _absorb_discovery(
-        self,
-        state: QueryState,
-        cache: Optional[_BatchCache] = None,
-        idents: Optional[Sequence[int]] = None,
+        self, state: QueryState, cache: _BatchCache, idents: Sequence[int]
     ) -> None:
         """Discovery half of one absorbed step: components + threshold.
 
-        Bumps the iteration counter, folds newly reached nodes into the
-        processed-component set (gathering candidates for matching
-        components), and refreshes the unexplored-document threshold.
-        *idents* is this state's slice of the batch-wide newly-reached
-        component scan (ascending, exactly the order the per-state
-        ``np.unique`` produced); sequentially it is derived from the
-        state's own border / seen arrays.
+        Bumps the iteration counter, folds the newly reached components
+        *idents* (this state's ascending slice of the batch-wide scan)
+        into the processed set — appending the candidate block of every
+        matching one — and refreshes the unexplored-document threshold.
         """
         state.iterations += 1
-        if idents is None:
-            reached = state.border != 0
-            fresh = np.flatnonzero(reached & ~state.seen)
-            state.seen |= reached
-            if fresh.size:
-                found = self._index_component[fresh]
-                idents = np.unique(found[found >= 0]).tolist()
-            else:
-                idents = ()
         for ident in idents:
             if ident in state.processed:
                 continue
             state.processed.add(ident)
             if ident in state.matching:
-                added = self._gather_candidates(
+                block = self._component_layout(
                     self.component_index.component(ident),
                     state.extensions,
-                    state,
-                    cache=cache,
-                    cache_key=state.cache_key,
+                    cache,
+                    state.cache_key,
                 )
-                state.candidates_examined += added
+                if block.n_all:
+                    state.layout.append(block)
+                    # Every gathered candidate was examined, whether or
+                    # not a later clean removes it.
+                    state.candidates_examined += block.n_all
+                    state.candidate_uris.update(block.uri_terms)
             else:
                 state.components_discarded += 1
         if state.all_matched:
@@ -2223,39 +1640,34 @@ class S3kSearch:
                 state.weight_key, state.iterations
             )
 
-    def _post_step(self, state: QueryState, tail_bound: float) -> None:
-        """Certification half: clean the candidate set (screened).
-
-        ``candidate_uris`` is recorded at gather time (candidates only
-        ever enter the dict there, and cleaning runs after the per-
-        iteration recording ran in the original loop), so no per-
-        iteration pass over the whole dict is needed here.
-        """
-        self._clean_candidates_screened(state, tail_bound)
-
-    def _absorb_step(
-        self,
-        state: QueryState,
-        cache: Optional[_BatchCache] = None,
-    ) -> None:
-        """Fold one already-propagated border back into *state*.
-
-        The caller has already advanced ``state.border`` /
-        ``state.accumulated`` through :meth:`ProximityIndex.step`; the
-        batched loop runs the same three sub-phases (discovery, bounds
-        refresh, certification) over all active states, sharing one
-        bounds pass — each state sees the identical per-state sequence,
-        which is what keeps the two modes bit-identical.
-        """
-        self._absorb_discovery(state, cache=cache)
-        tail_bound = self.score.tail_bound_at(state.iterations)
-        self._update_bounds(state, tail_bound)
-        self._post_step(state, tail_bound)
+    def _assemble(self, layout: _BoundsLayout, k: int) -> List[RankedResult]:
+        """Greedy top-k under the vertical-neighbor constraint: the first
+        k pairwise non-neighbor candidates in ``(-upper, -depth, uri)``
+        order."""
+        uppers = layout.uppers
+        removed = layout.removed if layout.n_removed else None
+        picked: List[int] = []
+        for position in np.lexsort(
+            (layout.uri_rank, -layout.depths, -uppers)
+        ).tolist():
+            if uppers[position] <= 0.0 or len(picked) == k:
+                break
+            if removed is not None and removed[position]:
+                continue
+            if layout.excluder(position, picked) < 0:
+                picked.append(position)
+        return [
+            RankedResult(
+                layout.uri_terms[position],
+                float(layout.lowers[position]),
+                float(uppers[position]),
+            )
+            for position in picked
+        ]
 
     def _finish(self, state: QueryState) -> SearchResult:
         """Assemble the top-k answer and timing of a finished query."""
-        self._sync_bounds(state)
-        results = self._assemble(state.candidates, state.k)
+        results = self._assemble(state.layout, state.k)
         wall_time = time.perf_counter() - state.started
         return SearchResult(
             seeker=state.seeker,
@@ -2291,44 +1703,14 @@ class S3kSearch:
         ``semantic=False`` disables keyword extension (used by the
         semantic-reachability measure of Section 5.4).  *max_iterations* /
         *time_budget* activate the anytime termination of Section 4.1.
-
-        Fully-default queries (no explicit budget) are answered from the
-        LRU result cache when the same ``(seeker, keywords, semantic, k)``
-        was recently finished; the replayed answer is identical, with only
-        the timing fields refreshed.
+        A batch of one through :meth:`search_many`.
         """
-        started = time.perf_counter()
-        self._fresh_caches()
-        cache_key: Optional[Tuple] = None
-        if (
-            self._result_cache is not None
-            and max_iterations is None
-            and time_budget is None
-        ):
-            cache_key = (URI(seeker), _normalize_keywords(keywords), semantic, k)
-            cached = self._result_cache.get(cache_key)
-            if cached is not None:
-                elapsed = time.perf_counter() - started
-                return replace(
-                    cached, batch_index=0, elapsed_seconds=elapsed, wall_time=elapsed
-                )
-        state = self._prepare_query(
-            seeker,
-            keywords,
-            k=k,
-            semantic=semantic,
-            max_iterations=max_iterations,
-            time_budget=time_budget,
-            cache=self._plan_cache,
+        from ..engine.request import QueryRequest
+
+        request = QueryRequest(
+            seeker, keywords, k, semantic, max_iterations, time_budget
         )
-        while not self._check_stop(state):
-            state.border = self.prox_index.step(state.border) / self.score.gamma
-            state.accumulated += self.score.c_gamma * state.border
-            self._absorb_step(state, cache=self._plan_cache)
-        result = self._finish(state)
-        if cache_key is not None:
-            self._result_cache.put(cache_key, result, self._result_meta(state))
-        return result
+        return self.search_many([request])[0]
 
     def search_many(
         self,
@@ -2353,7 +1735,7 @@ class S3kSearch:
         (:meth:`ProximityIndex.step_many`); a query's column is retired
         from the batch the moment its threshold stop (or anytime budget)
         fires.  Query-independent work — keyword extension, component
-        matching, weight bounds and per-component connection fixpoints —
+        matching, weight bounds and per-component candidate layouts —
         is computed once per distinct keyword set and shared across the
         batch, and identical in-flight queries (same seeker, keywords,
         k and settings — hot queries under heavy traffic) are coalesced
@@ -2361,9 +1743,12 @@ class S3kSearch:
         :class:`~repro.engine.request.QueryRequest` (or a mapping with
         the corresponding keys) executes under its *own* ``semantic`` /
         ``max_iterations`` / ``time_budget``; the batch-level kwargs are
-        defaults for queries that do not carry them.  Results are
-        returned in input order and are bit-identical to running
-        :meth:`search` on each query separately.
+        defaults for queries that do not carry them.  Fully-default
+        queries (no explicit budget) are answered from the LRU result
+        cache when the same ``(seeker, keywords, semantic, k)`` was
+        recently finished; the replayed answer is identical, with only
+        the timing fields refreshed.  Results are returned in input
+        order; a query's answer does not depend on its batch.
         """
         # Local import: the engine package sits above core and imports
         # this module at load time; by the time queries arrive both are
@@ -2389,7 +1774,7 @@ class S3kSearch:
             if key in unique_states or key in replayed:
                 continue
             # Budgeted requests bypass the result cache (their answers
-            # depend on the budget), exactly as in :meth:`search`.
+            # depend on the budget).
             cacheable = (
                 self._result_cache is not None
                 and request.max_iterations is None
@@ -2400,9 +1785,8 @@ class S3kSearch:
                     (request.seeker, request.keywords, request.semantic, request.k)
                 )
                 if cached is not None:
-                    # Refresh both timing fields, exactly as search() does
-                    # on a replay: a replayed answer spent no exploration
-                    # time, and the two fields must stay consistent.
+                    # A replayed answer spent no exploration time, and
+                    # the two timing fields must stay consistent.
                     elapsed = time.perf_counter() - batch_started
                     replayed[key] = replace(
                         cached,
@@ -2411,31 +1795,18 @@ class S3kSearch:
                         wall_time=elapsed,
                     )
                     continue
-            unique_states[key] = self._prepare_query(
-                request.seeker,
-                request.keywords,
-                k=request.k,
-                semantic=request.semantic,
-                max_iterations=request.max_iterations,
-                time_budget=request.time_budget,
-                batch_index=batch_index,
-                cache=cache,
-            )
+            unique_states[key] = self._prepare_query(request, batch_index, cache)
 
-        states = list(unique_states.values())
-        active = [state for state in states if not self._check_stop(state)]
-        borders: Optional[np.ndarray] = None
-        acc_rows: Optional[np.ndarray] = None
-        seen_rows: Optional[np.ndarray] = None
-        batch_layout: Optional[_BatchLayout] = None
-        built_at = -_REBUILD_INTERVAL
+        active = [
+            state for state in unique_states.values() if not self._check_stop(state)
+        ]
         if active:
-            # Batch-major state: the accumulated vectors and seen masks of
-            # all active queries live as columns of two C-contiguous
-            # column-major matrices — the same orientation ``step_many``
+            # Batch-major state: the borders, accumulated vectors and seen
+            # masks of all active queries live as columns of C-contiguous
+            # ``(size, n_active)`` matrices — the orientation ``step_many``
             # produces — so the per-iteration accumulate / reach / fresh
-            # updates run without a single transposed (strided) pass, and
-            # the bounds refresh gathers from one flat array.
+            # updates run without a single transposed (strided) pass.
+            borders = np.column_stack([state.border for state in active])
             acc_rows = np.ascontiguousarray(
                 np.stack([state.accumulated for state in active], axis=1)
             )
@@ -2443,13 +1814,12 @@ class S3kSearch:
                 np.stack([state.seen for state in active], axis=1)
             )
             for row, state in enumerate(active):
+                state.border = None
                 state.accumulated = acc_rows[:, row]
                 state.seen = seen_rows[:, row]
         phase = self._phase_seconds
         while active:
             step_started = time.perf_counter()
-            if borders is None:
-                borders = np.column_stack([state.border for state in active])
             stepped = self.prox_index.step_many(borders)
             stepped /= self.score.gamma
             acc_rows += self.score.c_gamma * stepped
@@ -2459,66 +1829,41 @@ class S3kSearch:
             # One batch-wide scan classifies every newly reached node of
             # every query: encode (row, component) pairs into one integer
             # key, dedupe with a single ``np.unique`` (ascending idents
-            # within each row — the order the per-state unique produced),
-            # and hand each state its slice.
+            # within each row) and hand each state its slice.  The flat
+            # scan + ``divmod`` yields the 2-D ``nonzero`` pairs in the
+            # same order, several times cheaper at every width.
             stride = self._component_stride
-            nodes_f, rows_f = np.nonzero(fresh_matrix)
+            nodes_f, rows_f = np.divmod(
+                np.flatnonzero(fresh_matrix.reshape(-1)), len(active)
+            )
             found = self._index_component[nodes_f]
             mask = found >= 0
             if mask.any():
                 encoded = np.unique(rows_f[mask] * stride + found[mask])
-                disc_rows = encoded // stride
                 disc_idents = encoded % stride
                 row_bounds = np.searchsorted(
-                    disc_rows, np.arange(len(active) + 1)
+                    encoded // stride, np.arange(len(active) + 1)
                 )
             else:
                 row_bounds = None
             discover_started = time.perf_counter()
-            n_stale = 0
             for row, state in enumerate(active):
-                state.border = stepped[:, row]
                 idents = (
                     disc_idents[row_bounds[row] : row_bounds[row + 1]].tolist()
                     if row_bounds is not None
                     else ()
                 )
-                self._absorb_discovery(state, cache=cache, idents=idents)
-                if state.layout is not None and state.layout.dirty:
-                    state.needs_own_refresh = True
-                if state.needs_own_refresh:
-                    n_stale += 1
+                self._absorb_discovery(state, cache, idents)
             bounds_started = time.perf_counter()
             # All active states share the same iteration count n — the
             # lock-step invariant — so one tail bound serves the batch.
             tail_bound = self.score.tail_bound_at(active[0].iterations)
-            # Rebuilding the batch-wide concatenation costs a pass over
-            # every state, so a few grown states refresh per-state against
-            # their own layout instead (identical reduceat segments →
-            # identical bits); rebuild once growth is no longer the
-            # exception — or after a compaction dropped the layout.  The
-            # rebuild interval keeps the early discovery storm (every
-            # state growing every iteration) from rebuilding every
-            # iteration: between rebuilds the grown states simply stay on
-            # the per-state path.
-            iteration_now = active[0].iterations
-            if batch_layout is None or (
-                2 * n_stale >= len(active)
-                and iteration_now - built_at >= _REBUILD_INTERVAL
-            ):
-                batch_layout = _BatchLayout(active, len(active))
-                built_at = iteration_now
-                self._stats["batch_layout_builds"] += 1
-                for state in active:
-                    state.needs_own_refresh = False
-            self._refresh_bounds_batch(batch_layout, acc_rows, tail_bound)
             for state in active:
-                if state.needs_own_refresh:
-                    self._update_bounds(state, tail_bound)
+                self._update_bounds(state, tail_bound)
             certify_started = time.perf_counter()
             keep = []
             for row, state in enumerate(active):
-                self._post_step(state, tail_bound)
+                self._clean(state, tail_bound)
                 if not self._check_stop(state):
                     keep.append(row)
             done_at = time.perf_counter()
@@ -2530,30 +1875,25 @@ class S3kSearch:
                 # Nobody retired: the stepped matrix simply becomes the next
                 # border matrix, with no per-iteration re-stacking.
                 borders = stepped
-            else:
-                kept = set(keep)
+                continue
+            kept = set(keep)
+            for row, state in enumerate(active):
+                if row not in kept:
+                    # Retired columns are never read again; dropping the
+                    # views releases the old matrices after compaction.
+                    # The visited-row footprint outlives them for the
+                    # result cache's scoped delta eviction.
+                    state.visited_rows = np.flatnonzero(state.seen)
+                    state.accumulated = None
+                    state.seen = None
+            active = [active[row] for row in keep]
+            if active:
+                borders = np.ascontiguousarray(stepped[:, keep])
+                acc_rows = np.ascontiguousarray(acc_rows[:, keep])
+                seen_rows = np.ascontiguousarray(seen_rows[:, keep])
                 for row, state in enumerate(active):
-                    if row not in kept:
-                        # Retired rows are never read again; dropping the
-                        # views releases this iteration's stepped matrix
-                        # and, after compaction, the old row matrices.
-                        # The visited-row footprint outlives the views for
-                        # the result cache's scoped delta eviction.
-                        state.visited_rows = np.flatnonzero(state.seen)
-                        state.border = None
-                        state.accumulated = None
-                        state.seen = None
-                active = [active[row] for row in keep]
-                if active:
-                    borders = np.ascontiguousarray(stepped[:, keep])
-                    acc_rows = np.ascontiguousarray(acc_rows[:, keep])
-                    seen_rows = np.ascontiguousarray(seen_rows[:, keep])
-                    for row, state in enumerate(active):
-                        state.accumulated = acc_rows[:, row]
-                        state.seen = seen_rows[:, row]
-                else:
-                    borders = acc_rows = seen_rows = None
-                batch_layout = None
+                    state.accumulated = acc_rows[:, row]
+                    state.seen = seen_rows[:, row]
 
         finished = {key: self._finish(state) for key, state in unique_states.items()}
         if self._result_cache is not None:
@@ -2575,20 +1915,3 @@ class S3kSearch:
             else:
                 results.append(replace(primary, batch_index=batch_index))
         return results
-
-    # ------------------------------------------------------------------
-    def _assemble(self, candidates: Dict[URI, Candidate], k: int) -> List[RankedResult]:
-        """Greedy top-k under the vertical-neighbor constraint."""
-        ordered = sorted(
-            candidates.values(), key=lambda c: (-c.upper, -c.depth, c.uri)
-        )
-        picked: List[Candidate] = []
-        for candidate in ordered:
-            if candidate.upper <= 0.0:
-                continue
-            if any(self._are_vertical_neighbors(candidate, other) for other in picked):
-                continue
-            picked.append(candidate)
-            if len(picked) == k:
-                break
-        return [RankedResult(c.uri, c.lower, c.upper) for c in picked]

@@ -6,7 +6,6 @@ from .runner import (
     engine_runner,
     run_workload,
     run_workload_batched,
-    s3k_runner,
     topks_runner,
 )
 from .workload import (
@@ -30,6 +29,5 @@ __all__ = [
     "run_workload",
     "run_workload_batched",
     "engine_runner",
-    "s3k_runner",
     "topks_runner",
 ]

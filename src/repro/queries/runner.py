@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import statistics
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -207,16 +206,6 @@ def engine_runner(
         )
 
     return run
-
-
-def s3k_runner(engine, **search_kwargs) -> Callable[[QuerySpec], object]:
-    """Deprecated alias of :func:`engine_runner` (kept for old imports)."""
-    warnings.warn(
-        "s3k_runner is deprecated; use engine_runner (QueryRequest-based)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return engine_runner(engine, **search_kwargs)
 
 
 def topks_runner(searcher) -> Callable[[QuerySpec], object]:

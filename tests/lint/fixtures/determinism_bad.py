@@ -40,10 +40,9 @@ class S3kSearch:
     def _score_candidates(self, candidates):
         return sorted(candidates, key=lambda c: random.random())  # BAD
 
-    def _refresh_bounds_batch(self, batch, states):
-        # The batch-major bookkeeping helpers are NOT budget hooks: only
+    def _update_bounds(self, state, tail_bound):
+        # The loop's bookkeeping helpers are NOT budget hooks: only
         # search_many itself may time its phases.
-        started = time.perf_counter()  # BAD: batch helper reads the clock
-        for state in states:
-            state.synced = False
+        started = time.perf_counter()  # BAD: loop helper reads the clock
+        state.layout.screen_cache = None
         self.phase_seconds = time.perf_counter() - started  # BAD: same

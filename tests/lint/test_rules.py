@@ -100,11 +100,13 @@ class TestDeterminismBudgetHookScoping:
 
         assert "S3kSearch.search_many" in _BUDGET_HOOKS
         for helper in (
-            "S3kSearch._refresh_bounds_batch",
+            "S3kSearch.search",  # a batch of one: reads no clock itself
             "S3kSearch._update_bounds",
-            "S3kSearch._clean_screen",
+            "S3kSearch._clean",
             "S3kSearch._stop_screen",
+            "S3kSearch._stop_replay_positions",
             "S3kSearch._absorb_discovery",
+            "S3kSearch._assemble",
         ):
             assert helper not in _BUDGET_HOOKS
 

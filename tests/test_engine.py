@@ -234,6 +234,24 @@ class TestEngineFacade:
         for phase in ("step", "discover", "bounds", "clean_stop"):
             assert f"phase_{phase}_seconds" in exploration
 
+    def test_one_sync_search_moves_phase_and_stop_counters(self):
+        # ``search`` is a batch of one through the only exploration loop,
+        # so a single synchronous call is visible in the phase clocks and
+        # the certification counters (the old sequential loop moved
+        # neither the phases nor, on its own, anything batch-shaped).
+        engine = Engine(figure1_instance())
+        before = engine.stats()["exploration"]
+        engine.search("u1", ["degre"], k=3)
+        after = engine.stats()["exploration"]
+        for phase in ("step", "discover", "bounds", "clean_stop"):
+            name = f"phase_{phase}_seconds"
+            assert after[name] > before[name] == 0.0
+        assert (
+            after["stop_checks_fast"] + after["stop_checks_full"]
+            > before["stop_checks_fast"] + before["stop_checks_full"]
+        )
+        assert after["stop_checks_full"] >= 1  # the stop itself is exact
+
     def test_stats_exploration_zeroed_before_first_query(self):
         engine = Engine(figure1_instance())
         exploration = engine.stats()["exploration"]
@@ -292,14 +310,6 @@ class TestEngineFacade:
             after["engine"]["instance_version"]
             == after["engine"]["kernel_version"]
         )
-
-    def test_s3k_runner_is_deprecated_alias(self):
-        from repro.queries import s3k_runner
-
-        engine = S3kSearch(figure1_instance())
-        with pytest.warns(DeprecationWarning):
-            run = s3k_runner(engine)
-        assert run(QuerySpec(URI("u1"), ("degre",), 3)).results
 
 
 class TestFacadeInvalidation:

@@ -593,7 +593,7 @@ class TestShardedMutate:
             assert stats["maintenance"]["mutations_applied"] >= 2  # both workers
             assert stats["maintenance"]["prox_patch_seconds"] > 0.0
             # The workers' kernel counters roll up like the other blocks.
-            assert stats["exploration"]["batch_refresh_passes"] >= 1
+            assert stats["exploration"]["bounds_refresh_rows"] >= 1
             assert stats["exploration"]["phase_step_seconds"] >= 0.0
         finally:
             engine.close()

@@ -81,7 +81,6 @@ _BUDGET_HOOKS = (
     "S3kSearch._prepare_query",
     "S3kSearch._check_stop",
     "S3kSearch._finish",
-    "S3kSearch.search",
     "S3kSearch.search_many",
     "S3kSearch.apply_deltas",
     "ConnectionIndex.slab",
