@@ -122,14 +122,14 @@ class QueryState:
     started: float
     batch_index: int = 0
     # -- exploration state (None / empty until prepared) ----------------
-    #: the seeker's start vector; the batch stacks it into its border matrix
+    #: the seeker's start vector and its reached-node mask; the batch
+    #: stacks them into its border / seen matrices and drops them here
     border: Optional[np.ndarray] = None
+    seen: Optional[np.ndarray] = None
+    #: accumulated proximity mass — a column view of the batch's matrix
+    #: while the query is active
     accumulated: Optional[np.ndarray] = None
     weight_bounds: List[float] = field(default_factory=list)
-    #: boolean mask of node indexes already reached by some path — kept as
-    #: an array so each iteration only Python-loops over the newly reached
-    #: indexes (vectorized diff against the border's nonzero pattern)
-    seen: Optional[np.ndarray] = None
     threshold: float = math.inf
     #: ``weight_bounds`` pre-tupled once so the per-iteration threshold
     #: schedule lookup hashes a ready-made key
@@ -140,9 +140,8 @@ class QueryState:
     #: the candidate set: one position per gathered candidate, with the
     #: ``lowers`` / ``uppers`` / ``removed`` arrays every pass works on
     layout: _BoundsLayout = field(default_factory=_BoundsLayout)
-    #: nonzero rows of ``seen`` captured at batch retirement (``seen``
-    #: itself is dropped with the column views); feeds the result cache's
-    #: scoped delta eviction
+    #: rows of the batch's seen matrix set in this query's column at
+    #: retirement; feeds the result cache's scoped delta eviction
     visited_rows: Optional[np.ndarray] = None
     processed: Set[int] = field(default_factory=set)
     candidate_uris: Set[URI] = field(default_factory=set)
@@ -1250,12 +1249,12 @@ class S3kSearch:
         *time_budget* activate the anytime termination of Section 4.1.
         A batch of one through :meth:`search_many`.
         """
-        from ..engine.request import QueryRequest
-
-        request = QueryRequest(
-            seeker, keywords, k, semantic, max_iterations, time_budget
-        )
-        return self.search_many([request])[0]
+        return self.search_many(
+            [(seeker, keywords, k)],
+            semantic=semantic,
+            max_iterations=max_iterations,
+            time_budget=time_budget,
+        )[0]
 
     def search_many(
         self,
@@ -1359,9 +1358,8 @@ class S3kSearch:
                 np.stack([state.seen for state in active], axis=1)
             )
             for row, state in enumerate(active):
-                state.border = None
+                state.border = state.seen = None
                 state.accumulated = acc_rows[:, row]
-                state.seen = seen_rows[:, row]
         phase = self._phase_seconds
         while active:
             step_started = time.perf_counter()
@@ -1425,12 +1423,11 @@ class S3kSearch:
             for row, state in enumerate(active):
                 if row not in kept:
                     # Retired columns are never read again; dropping the
-                    # views releases the old matrices after compaction.
-                    # The visited-row footprint outlives them for the
-                    # result cache's scoped delta eviction.
-                    state.visited_rows = np.flatnonzero(state.seen)
+                    # view releases the old matrix after compaction.  The
+                    # visited-row footprint outlives the seen mask for
+                    # the result cache's scoped delta eviction.
+                    state.visited_rows = np.flatnonzero(seen_rows[:, row])
                     state.accumulated = None
-                    state.seen = None
             active = [active[row] for row in keep]
             if active:
                 borders = np.ascontiguousarray(stepped[:, keep])
@@ -1438,7 +1435,6 @@ class S3kSearch:
                 seen_rows = np.ascontiguousarray(seen_rows[:, keep])
                 for row, state in enumerate(active):
                     state.accumulated = acc_rows[:, row]
-                    state.seen = seen_rows[:, row]
 
         finished = {key: self._finish(state) for key, state in unique_states.items()}
         if self._result_cache is not None:
