@@ -49,6 +49,7 @@ import hashlib
 import io
 import json
 import time
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
@@ -63,6 +64,8 @@ from .instance import S3Instance
 #: Interned connection types: evidence pairs store a code, not a URI.
 _TYPES: Tuple[URI, ...] = (S3_CONTAINS, S3_RELATED_TO, S3_COMMENTS_ON)
 _CONTAINS, _RELATED_TO, _COMMENTS_ON = 0, 1, 2
+#: type code -> its place when connections sort by type URI
+_TYPE_RANK = np.argsort(np.argsort(np.asarray(_TYPES, dtype=np.str_)))
 
 
 class StaleIndexError(RuntimeError):
@@ -91,6 +94,15 @@ def _readonly_array(array: np.ndarray) -> np.ndarray:
         array = array.view()
         array.flags.writeable = False
     return array
+
+
+def _run_indices(starts: np.ndarray, lens: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the runs ``[starts[i], starts[i] + lens[i])``
+    laid end to end, and the offset at which each run begins."""
+    ends = lens.cumsum()
+    offsets = ends - lens
+    total = int(ends[-1]) if ends.size else 0
+    return (starts - offsets).repeat(lens) + np.arange(total), offsets
 
 
 def _encode_term(term: Term) -> List[str]:
@@ -204,6 +216,7 @@ class _ComponentSlab:
         "tag_uris",
         "node_activity",
         "tag_activity",
+        "decode",
     )
 
     def __init__(self) -> None:
@@ -227,6 +240,9 @@ class _ComponentSlab:
         self.tag_uris: List[URI] = []
         self.node_activity: Optional[sparse.csr_matrix] = None
         self.tag_activity: Optional[sparse.csr_matrix] = None
+        #: tree / pair tables of :meth:`ConnectionIndex.keyword_block`,
+        #: derived on first decode (never persisted)
+        self.decode: Optional[Tuple] = None
 
     # -- stats ----------------------------------------------------------
     @property
@@ -550,6 +566,113 @@ class ConnectionIndex:
         selected = order[mask[order]]
         node_uris = slab.node_uris
         return [node_uris[i] for i in selected.tolist()]
+
+    def _decode_tables(self, slab: _ComponentSlab) -> Tuple:
+        """Per-slab tables of :meth:`keyword_block`.
+
+        Every evidence row ``(atom, fragment, pair)`` is listed once per
+        ancestor-or-self ``d`` of its fragment — the candidates it
+        connects — as one integer key ``(place of d, type, fragment,
+        source)``.  A node's *place* is its index in the emission order
+        (post-order: a subtree is the stretch of places ending at its
+        root), so an atom's sorted keys already are its candidates in
+        emission order, each with its connections in
+        ``resolve_connections`` order.  Sources are component-local ids:
+        a node's own id, ids past the nodes for users, ``-1`` for the
+        ``_SELF`` placeholder.
+        """
+        document_of = self._instance.document_of
+        node_uris, node_of = slab.node_uris, slab.node_of
+        node_at = slab.candidate_order.astype(np.intp)
+        n, n_pairs = len(node_uris), max(len(slab.pair_sources), 1)
+        place = np.empty(n, dtype=np.intp)
+        place[node_at] = np.arange(n, dtype=np.intp)
+        #: per node id, the places of the node and its ancestors
+        chains = [
+            [place[node_of[a.uri]] for a in (node, *node.ancestors())]
+            for node in (document_of(uri).node(uri) for uri in node_uris)
+        ]
+        above = np.fromiter(chain.from_iterable(chains), dtype=np.intp)
+        reach = np.fromiter(map(len, chains), dtype=np.intp, count=n)
+        first_at = np.arange(n, dtype=np.intp)
+        np.minimum.at(first_at, above, np.repeat(place, reach))
+        ranked = sorted(
+            range(len(slab.pair_sources)),
+            key=lambda p: (_TYPE_RANK[slab.pair_types[p]], slab.pair_sources[p]),
+        )
+        pair_key = _TYPE_RANK[slab.pair_types] * (n * n_pairs)
+        pair_key[ranked] += np.arange(len(ranked), dtype=np.intp)
+        source_uris = node_uris + [
+            source
+            for source in dict.fromkeys(slab.pair_sources)
+            if source != _SELF and source not in node_of
+        ]
+        source_of = {uri: i for i, uri in enumerate(source_uris)}
+        source_of[_SELF] = -1
+        per_entry = np.diff(slab.ev_ptr)
+        fragment = np.repeat(slab.ev_node, per_entry).astype(np.intp)
+        picked, _ = _run_indices((reach.cumsum() - reach)[fragment], reach[fragment])
+        rows = np.repeat(np.arange(fragment.size), reach[fragment])
+        key = (
+            above[picked] * (len(_TYPES) * n * n_pairs)
+            + pair_key[slab.ev_pair][rows]
+            + fragment[rows] * n_pairs
+        )
+        atom = np.repeat(
+            np.repeat(np.arange(len(slab.atoms)), np.diff(slab.atom_ptr)), per_entry
+        )[rows]
+        order = np.lexsort((key, atom))
+        slab.decode = (
+            np.searchsorted(atom[order], np.arange(len(slab.atoms) + 1)),
+            key[order],
+            node_at,
+            first_at,
+            reach - 1,
+            np.asarray([source_of[slab.pair_sources[p]] for p in ranked], dtype=np.intp),
+            source_uris,
+        )
+        return slab.decode
+
+    def keyword_block(self, ident: int, extension: Iterable[Term]) -> Tuple:
+        """``con(d, k)`` of one query keyword over component *ident*, in
+        the array domain — the slab's evidence decoded directly.
+
+        Returns ``(positions, firsts, depths, uri_terms, counts,
+        distances, sources, source_uris)``: the covered nodes (the ones
+        :meth:`candidate_documents` emits for this keyword alone) as
+        ascending places in the emission order, the first place of each
+        one's subtree, its depth and URI; then per node *counts*
+        connections, flat and sorted exactly like
+        :func:`~repro.core.connections.resolve_connections` sorts them
+        (type, fragment, source), as structural *distances* and
+        component-local source ids into *source_uris*.
+        """
+        slab = self.slab(ident)
+        key_ptr, all_keys, node_at, first_at, depth, rank_source, source_uris = (
+            slab.decode or self._decode_tables(slab)
+        )
+        atom_ids = {slab.atom_of[atom] for atom in extension if atom in slab.atom_of}
+        keys = np.concatenate(
+            [all_keys[:0]] + [all_keys[key_ptr[a] : key_ptr[a + 1]] for a in atom_ids]
+        )
+        if len(atom_ids) > 1:
+            keys = np.unique(keys)  # con() is a set; one atom's keys are sorted
+        n, n_pairs = len(node_at), max(len(rank_source), 1)
+        places, rest = np.divmod(keys, len(_TYPES) * n * n_pairs)
+        counts = np.bincount(places, minlength=n)
+        positions = counts.nonzero()[0].copy()  # not a view pinning its base
+        own = node_at[places]
+        sources = rank_source[rest % n_pairs]
+        return (
+            positions,
+            first_at[positions],
+            depth[node_at[positions]],
+            [slab.node_uris[node] for node in node_at[positions].tolist()],
+            counts[positions],
+            depth[rest // n_pairs % n] - depth[own],
+            np.where(sources < 0, own, sources),
+            source_uris,
+        )
 
     # ------------------------------------------------------------------
     # Offline build

@@ -1,19 +1,24 @@
 """Flat candidate layouts of the S3k exploration (Section 4).
 
-A query's candidates exist only as *positions* of flat numpy arrays:
-:class:`_ComponentLayout` is the seeker-independent block of one
-``(component, keyword set)`` pair, :class:`_BoundsLayout` the per-query
-concatenation of the blocks gathered so far, owning the score intervals
-and the ``removed`` mask every pass of :mod:`repro.core.search` works on.
+A query's candidates exist only as *positions* of flat numpy arrays.
+:class:`_KeywordBlock` is the cached, seeker-independent unit: the
+candidates of one ``(component, keyword extension)`` pair with their
+sorted connection weights and source slots.  :class:`_ComponentLayout` is
+what a query gathers per matching component — the block itself for one
+keyword, :func:`compose_layout` of its keywords' blocks otherwise — and
+:class:`_BoundsLayout` the per-query concatenation of the layouts
+gathered so far, owning the score intervals and the ``removed`` mask
+every pass of :mod:`repro.core.search` works on.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..rdf.terms import URI
+from .connection_index import _run_indices
 
 
 class _ComponentLayout:
@@ -22,25 +27,20 @@ class _ComponentLayout:
     The segment arrays (connection weights, per-keyword / per-candidate
     offsets, deduplicated source slots with their closed-neighborhood
     index runs, vertical-neighbor pairs) depend only on the component and
-    the extended keyword set — never on the seeker — so one block is
-    built per ``(component, keywords)`` pair, cached in
-    :class:`_BatchCache`, and shared by every query state that gathers
-    the component.  A query's :class:`_BoundsLayout` is a pure
-    concatenation of these blocks with offset shifts.
+    the extended keywords — never on the seeker.  A query's
+    :class:`_BoundsLayout` is a pure concatenation of these layouts with
+    offset shifts.
 
-    Position ``p`` is the ``p``-th candidate of the component, whether or
-    not it is *live* (a candidate with an empty connection list for some
-    keyword has a constant ``[0, 0]`` interval — the score is a product
-    over keywords — and is settled at creation, outside the refresh).
-    Source proximity is deduplicated per component: a source's proximity
-    is a ``reduceat`` over its own sorted neighborhood run, so the slot
+    Position ``p`` is the ``p``-th candidate of the component; every
+    candidate has a connection for every keyword (coverage is what makes
+    it one), so every position takes part in the bounds refresh.  Source
+    proximity is deduplicated per layout: a source's proximity is a
+    ``reduceat`` over its own sorted neighborhood run, so the slot
     arrangement cannot change the float results.
     """
 
     __slots__ = (
         "n_all",
-        "n_live",
-        "live",
         "conn_weight",
         "conn_src",
         "kw_offsets",
@@ -57,6 +57,144 @@ class _ComponentLayout:
         "pair_shallow",
         "pair_deep",
     )
+
+
+#: The pair arrays of every block without vertical neighbors (most).
+_NO_PAIRS = np.empty(0, dtype=np.intp)
+_NO_PAIRS.flags.writeable = False
+
+
+class _KeywordBlock(_ComponentLayout):
+    """The candidates of one ``(component, keyword extension)`` pair.
+
+    Already a complete single-keyword layout (one connection run per
+    candidate), so an ``l = 1`` query gathers it as is; *positions*, the
+    candidates' ascending places in the component's emission order, is
+    what composition intersects.  The dense index runs live in the
+    table's pooled :class:`~repro.core.caches._IndexArena` — a block
+    only remembers its range, so a universe growth re-indexes every
+    block with one gather.
+    """
+
+    __slots__ = ("positions", "arena", "run_start", "run_stop")
+
+    @property
+    def source_concat(self) -> np.ndarray:  # type: ignore[override]
+        return self.arena.runs[self.run_start : self.run_stop]
+
+
+def build_block(
+    raw: Tuple,
+    structural_weight: Callable[[int], float],
+    neighborhood: Callable[[URI], np.ndarray],
+    arena,
+) -> _KeywordBlock:
+    """A :class:`_KeywordBlock` from one ``keyword_block`` decode *raw*
+    (see :meth:`ConnectionIndex.keyword_block`); *structural_weight* is
+    the score's ``η^distance`` hook, *neighborhood* maps a source URI to
+    its dense closed-neighborhood indices, pooled in *arena*."""
+    positions, firsts, depths, uri_terms, counts, distances, sources, source_uris = raw
+    block = _KeywordBlock()
+    n = block.n_all = block.n_kws = len(uri_terms)
+    block.positions = positions
+    places = block.cand_offsets = np.arange(n, dtype=np.intp)
+    block.depths = depths
+    block.uri_terms = uri_terms
+    # Unicode copies of the candidate URIs: numpy compares code points
+    # exactly like ``str``, so the URI tiebreak rank comes from one C
+    # argsort instead of a Python sort per growth.
+    block.uris = np.asarray(uri_terms, dtype=np.str_)
+    # Vertical-neighbor pairs: emission is post-order, so the candidates
+    # inside a candidate's subtree are the ones right before it, back to
+    # the subtree's first place.
+    inside = places - positions.searchsorted(firsts)
+    if inside.any():
+        block.pair_deep, _ = _run_indices(places - inside, inside)
+        block.pair_shallow = places.repeat(inside)
+    else:
+        block.pair_deep = block.pair_shallow = _NO_PAIRS
+    # The scalar hook's own floats, looked up by distance.
+    reach = int(distances.max()) + 1 if distances.size else 0
+    block.conn_weight = np.asarray(
+        [structural_weight(distance) for distance in range(reach)], dtype=np.float64
+    )[distances]
+    block.n_conns = int(distances.size)
+    block.kw_offsets = counts.cumsum() - counts
+    # Slots: the distinct sources, in id order.
+    used = np.zeros(len(source_uris), dtype=bool)
+    used[sources] = True
+    block.conn_src = (used.cumsum() - 1)[sources]
+    runs = [neighborhood(source_uris[s]) for s in used.nonzero()[0].tolist()]
+    block.n_slots = len(runs)
+    lens = np.fromiter(map(len, runs), dtype=np.intp, count=len(runs))
+    block.nonempty = lens.nonzero()[0].copy()  # not a view pinning its base
+    block.source_offsets = (lens.cumsum() - lens)[block.nonempty]
+    block.arena = arena
+    block.run_start = arena.append(
+        np.concatenate(runs) if runs else np.empty(0, dtype=np.int64)
+    )
+    block.run_stop = arena.used
+    return block
+
+
+def compose_layout(blocks: Sequence[_KeywordBlock]) -> _ComponentLayout:
+    """The layout of a multi-keyword query over one component.
+
+    Its candidates are the ones every keyword's block covers; each keeps
+    its per-keyword connection runs, concatenated keyword-major — the
+    element order of the straightforward per-candidate loops, so the
+    refreshed floats are theirs.  The blocks' source slots are kept side
+    by side (a source two keywords share is refreshed twice, to the same
+    float).
+    """
+    first = blocks[0]
+    common = first.positions
+    for block in blocks[1:]:
+        common = np.intersect1d(common, block.positions, assume_unique=True)
+    layout = _ComponentLayout()
+    n = layout.n_all = int(common.size)
+    if not n:
+        return layout
+    width = len(blocks)
+    starts = np.empty((n, width), dtype=np.intp)
+    lens = np.empty((n, width), dtype=np.intp)
+    sources: List[np.ndarray] = []
+    offsets: List[np.ndarray] = []
+    nonempty: List[np.ndarray] = []
+    conn_base = slot_base = run_base = 0
+    for column, block in enumerate(blocks):
+        at = block.positions.searchsorted(common)
+        ends = np.append(block.kw_offsets[1:], block.n_conns)
+        starts[:, column] = block.kw_offsets[at] + conn_base
+        lens[:, column] = ends[at] - block.kw_offsets[at]
+        sources.append(block.conn_src + slot_base)
+        offsets.append(block.source_offsets + run_base)
+        nonempty.append(block.nonempty + slot_base)
+        conn_base += block.n_conns
+        slot_base += block.n_slots
+        run_base += block.run_stop - block.run_start
+    picked, layout.kw_offsets = _run_indices(starts.ravel(), lens.ravel())
+    layout.conn_weight = np.concatenate([b.conn_weight for b in blocks])[picked]
+    layout.conn_src = np.concatenate(sources)[picked]
+    layout.source_concat = np.concatenate([b.source_concat for b in blocks])
+    layout.source_offsets = np.concatenate(offsets)
+    layout.nonempty = np.concatenate(nonempty)
+    layout.n_slots = slot_base
+    layout.n_conns = int(picked.size)
+    layout.n_kws = n * width
+    places = np.arange(n, dtype=np.intp)
+    layout.cand_offsets = places * width
+    at = first.positions.searchsorted(common)
+    layout.depths = first.depths[at]
+    layout.uris = first.uris[at]
+    layout.uri_terms = [first.uri_terms[i] for i in at.tolist()]
+    # A pair of the first block survives when both ends do.
+    place = np.full(first.n_all, -1, dtype=np.intp)
+    place[at] = places
+    shallow, deep = place[first.pair_shallow], place[first.pair_deep]
+    kept = (shallow >= 0) & (deep >= 0)
+    layout.pair_shallow, layout.pair_deep = shallow[kept], deep[kept]
+    return layout
 
 
 class _BoundsLayout:
@@ -78,11 +216,10 @@ class _BoundsLayout:
 
     __slots__ = (
         "blocks",
+        "block_runs",
         "built_blocks",
         "dirty",
         "n_all",
-        "n_live",
-        "live_pos",
         "lowers",
         "uppers",
         "removed",
@@ -110,18 +247,20 @@ class _BoundsLayout:
 
     def __init__(self) -> None:
         self.blocks: List[_ComponentLayout] = []
+        #: each block's index runs, taken when it was gathered: a cached
+        #: block may leave the table (and its arena range be reused)
+        #: before the deferred :meth:`ensure` reads it
+        self.block_runs: List[np.ndarray] = []
         self.built_blocks = 0
         self.dirty = False
         self.n_all = 0
-        self.n_live = 0
-        self.live_pos = np.empty(0, dtype=np.intp)
         self.lowers = np.empty(0, dtype=np.float64)
         self.uppers = np.empty(0, dtype=np.float64)
         self.removed = np.zeros(0, dtype=bool)
         self.n_removed = 0
         self.screen_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        #: ``(min raw upper, max raw lower)`` over the live rows of the
-        #: last refresh.  Raw means removed rows are included, which only
+        #: ``(min raw upper, max raw lower)`` over the rows of the last
+        #: refresh.  Raw means removed rows are included, which only
         #: loosens the bracket — the screens use it for sound one-compare
         #: fast paths.
         self.batch_stats: Optional[Tuple[float, float]] = None
@@ -150,6 +289,7 @@ class _BoundsLayout:
     def append(self, block: _ComponentLayout) -> None:
         """Add one gathered component's block."""
         self.blocks.append(block)
+        self.block_runs.append(block.source_concat)
         self.uri_terms.extend(block.uri_terms)
         self.dirty = True
 
@@ -174,34 +314,6 @@ class _BoundsLayout:
         """
         if not self.dirty:
             return
-        if self.built_blocks == 0 and len(self.blocks) == 1:
-            # First build from a single block: adopt the cached block
-            # arrays directly (every base offset is zero).  They are
-            # shared read-only across states; the per-state interval
-            # arrays are still allocated fresh below.
-            block = self.blocks[0]
-            if block.n_live:
-                self.live_pos = block.live
-                self.n_live = block.n_live
-                self.conn_weight = block.conn_weight
-                self.conn_src = block.conn_src
-                self.kw_offsets = block.kw_offsets
-                self.cand_offsets = block.cand_offsets
-                self.source_concat = block.source_concat
-                self.source_offsets = block.source_offsets
-                self.nonempty = block.nonempty
-            self.built_blocks = 1
-            self.n_all = block.n_all
-            self.conn_base = block.n_conns
-            self.kw_base = block.n_kws
-            self.n_slots = block.n_slots
-            self.depths = block.depths
-            self.uris = block.uris
-            self.pair_shallow = block.pair_shallow
-            self.pair_deep = block.pair_deep
-            self._finish_build()
-            return
-        live_parts: List[np.ndarray] = [self.live_pos]
         weight_parts: List[np.ndarray] = [self.conn_weight]
         src_parts: List[np.ndarray] = [self.conn_src]
         kw_parts: List[np.ndarray] = [self.kw_offsets]
@@ -218,16 +330,16 @@ class _BoundsLayout:
         kw_base = self.kw_base
         slot_base = self.n_slots
         source_base = int(self.source_concat.size)
-        for block in self.blocks[self.built_blocks :]:
-            if block.n_live:
-                live_parts.append(block.live + cand_base)
-                weight_parts.append(block.conn_weight)
-                src_parts.append(block.conn_src + slot_base)
-                kw_parts.append(block.kw_offsets + conn_base)
-                cand_parts.append(block.cand_offsets + kw_base)
-                concat_parts.append(block.source_concat)
-                offset_parts.append(block.source_offsets + source_base)
-                nonempty_parts.append(block.nonempty + slot_base)
+        built = self.built_blocks
+        for block, runs in zip(self.blocks[built:], self.block_runs[built:]):
+            weight_parts.append(block.conn_weight)
+            src_parts.append(block.conn_src + slot_base)
+            kw_parts.append(block.kw_offsets + conn_base)
+            cand_parts.append(block.cand_offsets + kw_base)
+            concat_parts.append(runs)
+            offset_parts.append(block.source_offsets + source_base)
+            nonempty_parts.append(block.nonempty + slot_base)
+            source_base += runs.size
             depth_parts.append(block.depths)
             uri_parts.append(block.uris)
             if block.pair_shallow.size:
@@ -237,13 +349,10 @@ class _BoundsLayout:
             conn_base += block.n_conns
             kw_base += block.n_kws
             slot_base += block.n_slots
-            source_base += block.source_concat.size
         self.built_blocks = len(self.blocks)
         self.n_all = cand_base
         self.conn_base = conn_base
         self.kw_base = kw_base
-        self.live_pos = np.concatenate(live_parts)
-        self.n_live = int(self.live_pos.size)
         self.conn_weight = np.concatenate(weight_parts)
         self.conn_src = np.concatenate(src_parts)
         self.kw_offsets = np.concatenate(kw_parts)
@@ -277,11 +386,9 @@ class _BoundsLayout:
         rank = np.empty(self.n_all, dtype=np.intp)
         rank[order] = np.arange(self.n_all, dtype=np.intp)
         self.uri_rank = rank
-        # Settled positions stay 0.0 forever; live positions are rewritten
-        # by the very next bounds refresh, so plain zeros are enough.  The
-        # removed mask keeps its prefix — cleaned positions stay cleaned.
-        self.lowers = np.zeros(self.n_all, dtype=np.float64)
-        self.uppers = np.zeros(self.n_all, dtype=np.float64)
+        # The bounds refresh that called for this build assigns fresh
+        # ``lowers`` / ``uppers`` right after it.  The removed mask keeps
+        # its prefix — cleaned positions stay cleaned.
         grown = np.zeros(self.n_all, dtype=bool)
         grown[: self.removed.size] = self.removed
         self.removed = grown

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -42,10 +42,10 @@ from .caches import _BatchCache, _ResultCache, _ResultMeta
 from .components import Component, ComponentIndex
 from .concrete_score import S3kScore
 from .connection_index import ConnectionIndex
-from .connections import ComponentConnections, Connection, resolve_connections
+from .connections import ComponentConnections
 from .extension import extend_query
 from .instance import CommentEdgeDelta, MutationDelta, S3Instance, TagDelta
-from .layout import _BoundsLayout, _ComponentLayout
+from .layout import _BoundsLayout, _ComponentLayout, build_block, compose_layout
 from .prox import ProximityIndex
 from .score import FeasibleScore
 
@@ -57,6 +57,8 @@ TIE_EPSILON = 1e-9
 #: Hard cap on exploration depth (anytime fallback); the threshold stop
 #: normally triggers far earlier.
 DEFAULT_MAX_ITERATIONS = 300
+#: Floor of the index-derived plan table size.
+MIN_PLAN_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -117,6 +119,8 @@ class QueryState:
     extensions: Dict[Term, Set[Term]]
     extended_keyword_count: int
     matching: Set[int]
+    #: the frozen extension of each keyword, the key of its cached block
+    block_keys: Tuple[frozenset, ...]
     hard_cap: int
     time_budget: Optional[float]
     started: float
@@ -151,11 +155,6 @@ class QueryState:
     terminated_by: str = "threshold"
     done: bool = False
 
-    @property
-    def cache_key(self) -> Tuple[Tuple[Term, ...], bool]:
-        """Key under which query-independent work can be shared."""
-        return (self.keywords, self.semantic)
-
 
 def _normalize_keywords(keywords: Sequence[object]) -> Tuple[Term, ...]:
     """Keywords as deduplicated terms, exactly as ``_prepare_query`` sees
@@ -182,9 +181,12 @@ class S3kSearch:
     query time; pass a warm *connection_index* (e.g. loaded from a
     :class:`~repro.storage.sqlite_store.SQLiteStore`) to skip even the
     lazy builds.  *result_cache_size* bounds the LRU cache of finished
-    answers and *plan_cache_size* the LRU cache of seeker-independent
+    answers and *plan_cache_size* the LRU tables of seeker-independent
     query plans (extensions, matching components, weight bounds,
-    candidate layouts) shared across batches; 0 disables either.
+    candidate blocks) shared across batches; 0 disables either.  Left
+    ``None``, the plan tables are sized by the index: one entry per
+    ``(component, keyword atom)`` holds the whole single-keyword working
+    set, so traffic that scans the vocabulary cannot cycle them.
     """
 
     def __init__(
@@ -195,7 +197,7 @@ class S3kSearch:
         use_connection_index: bool = True,
         connection_index: Optional[ConnectionIndex] = None,
         result_cache_size: int = 1024,
-        plan_cache_size: int = 4096,
+        plan_cache_size: Optional[int] = None,
     ):
         if not instance.is_saturated:
             instance.saturate()
@@ -218,6 +220,11 @@ class S3kSearch:
         self._result_cache = (
             _ResultCache(result_cache_size) if result_cache_size > 0 else None
         )
+        if plan_cache_size is None:
+            plan_cache_size = max(
+                MIN_PLAN_CACHE_SIZE,
+                sum(len(c.keywords) for c in self.component_index.components()),
+            )
         self._plan_cache = (
             _BatchCache(plan_cache_size) if plan_cache_size > 0 else None
         )
@@ -289,6 +296,12 @@ class S3kSearch:
         if self._result_cache is None:
             return {"hits": 0, "misses": 0, "size": 0, "maxsize": 0}
         return self._result_cache.stats()
+
+    @property
+    def plan_cache_stats(self) -> Dict[str, int]:
+        """Per-table hit / miss / occupancy / eviction counters of the
+        plan cache, flat as ``<table>_<counter>``, plus ``block_builds``."""
+        return self._plan_cache.stats() if self._plan_cache is not None else {}
 
     @property
     def exploration_stats(self) -> Dict[str, object]:
@@ -491,7 +504,11 @@ class S3kSearch:
         )
         if self._result_cache is not None:
             evicted += self._result_cache.apply_delta(
-                stale_terms | new_keywords, touched, affected_rows, old_to_new
+                stale_terms | new_keywords,
+                touched,
+                affected_rows,
+                old_to_new,
+                self.prox_index.size,
             )
         self._caches_version = instance.version
 
@@ -514,14 +531,15 @@ class S3kSearch:
 
         Extension entries are dropped only when a new schema triple's
         object is one of the key's *raw* keywords — ``Ext(k)`` looks up
-        exactly those objects, so a pure comment-edge delta (empty
-        ``stale_terms`` ∩ keywords, no new tag keyword) leaves every
+        exactly those objects, so a pure comment-edge delta leaves every
         extension untouched.  Matching sets and weight bounds fall when
         their upstream fell, when a new tag keyword enters the key's
-        extension atoms, or when a touched component feeds the bounds;
-        per-component candidate layouts fall with their component.
-        Surviving component layouts get their dense source-index runs
-        remapped when the proximity universe grew.
+        extension atoms, or when a touched component feeds the bounds.
+        Candidate blocks are keyed by the extension itself, so they fall
+        with their component only: the touched idents are popped, and a
+        universe growth re-indexes every surviving block's source runs
+        with one gather over the arena.  The scans ``peek``: a write must
+        not reshuffle the recency order of entries it merely inspected.
         """
         cache = self._plan_cache
         if cache is None:
@@ -532,39 +550,32 @@ class S3kSearch:
             keywords, _semantic = key
             if stale_terms.intersection(keywords):
                 stale_keys.add(key)
-                del cache.extensions[key]
+                cache.extensions.evict(key)
                 evicted += 1
         if new_keywords or stale_keys:
             for key in list(cache.matching):
                 extensions = (
-                    None if key in stale_keys else cache.extensions.get(key)
+                    None if key in stale_keys else cache.extensions.peek(key)
                 )
-                if extensions is None:
-                    # Upstream evicted (or LRU-dropped: unverifiable).
-                    del cache.matching[key]
-                    evicted += 1
-                    continue
-                if new_keywords and any(
-                    extension & new_keywords
-                    for extension in extensions.values()
+                # A missing upstream was evicted (or LRU-dropped:
+                # unverifiable).
+                if extensions is None or (
+                    new_keywords
+                    and any(
+                        extension & new_keywords
+                        for extension in extensions.values()
+                    )
                 ):
-                    del cache.matching[key]
+                    cache.matching.evict(key)
                     evicted += 1
         for key in list(cache.weight_bounds):
-            matching = cache.matching.get(key)
+            matching = cache.matching.peek(key)
             if matching is None or (touched and matching & touched):
-                del cache.weight_bounds[key]
+                cache.weight_bounds.evict(key)
                 evicted += 1
-        for entry_key in list(cache.component_layouts):
-            ident, key = entry_key
-            if ident in touched or key in stale_keys:
-                del cache.component_layouts[entry_key]
-                evicted += 1
+        evicted += cache.blocks.evict_components(touched)
         if old_to_new is not None:
-            for layout in cache.component_layouts.values():
-                # Fresh array assignment — adopted block arrays are shared
-                # read-only across states and never written in place.
-                layout.source_concat = old_to_new[layout.source_concat]
+            cache.blocks.arena.remap(old_to_new)
         return evicted
 
     def _result_meta(self, state: QueryState) -> _ResultMeta:
@@ -636,185 +647,83 @@ class S3kSearch:
             bounds.append(best)
         return bounds
 
-    def _make_template(
-        self,
-        candidate_uri: URI,
-        extensions: Dict[Term, Set[Term]],
-        resolver: Callable[[URI, Term], List[Connection]],
+    def _oracle_block(
+        self, component: Component, keyword: Term, extension: Set[Term]
     ) -> Tuple:
-        """One candidate's seeker-independent payload: ``(uri, root, depth,
-        dewey, connection count per keyword, structural weights
-        ``η^distance`` and sources of all connections in keyword order)``."""
-        document = self.instance.document_of(candidate_uri)
-        node = document.node(candidate_uri)
-        structural_weight = self.score.structural_weight
-        kw_counts: List[int] = []
-        weights: List[float] = []
-        sources: List[URI] = []
-        for keyword in extensions:
-            resolved = resolver(candidate_uri, keyword)
-            kw_counts.append(len(resolved))
-            for connection in resolved:
-                weights.append(structural_weight(connection.distance))
-                sources.append(connection.source)
-        return (
-            candidate_uri,
-            document.uri,
-            node.depth,
-            node.dewey,
-            kw_counts,
-            weights,
-            sources,
+        """:meth:`ConnectionIndex.keyword_block` for the oracle path
+        (``use_connection_index=False``): the same arrays, read off the
+        query-time :class:`ComponentConnections` fixpoint."""
+        connections = ComponentConnections(
+            self.instance, component, {keyword: extension}
         )
+        #: node -> (place in the emission order, first place of its subtree, depth)
+        tree: Dict[URI, Tuple[int, int, int]] = {}
 
-    def _candidate_templates(
-        self, component: Component, extensions: Dict[Term, Set[Term]]
-    ) -> List[Tuple]:
-        """Query-independent candidate data for one matching component.
+        def walk(node) -> None:  # post-order, as the candidates are emitted
+            start = len(tree)
+            for child in node.children:
+                walk(child)
+            tree[node.uri] = (len(tree), start, node.depth)
 
-        With the :class:`ConnectionIndex` enabled, candidate extraction is
-        a boolean coverage gather and the per-keyword evidence is the
-        union of precomputed per-atom slices — no fixpoint runs at query
-        time.  Without it, the :class:`ComponentConnections` worklist
-        fixpoint (the oracle path) runs here.
-        """
-        if self.connection_index is not None:
-            connection_index = self.connection_index
-            candidate_uris = connection_index.candidate_documents(
-                component.ident, extensions
-            )
-            # Evidence decodes lazily, per keyword, only when a candidate
-            # actually resolves — a component whose coverage AND is empty
-            # costs one boolean gather and nothing else.
-            evidence_by_keyword: Dict[Term, Dict] = {}
+        for root in sorted(component.roots):
+            walk(self.instance.documents[root].root)
+        uri_terms = connections.candidate_documents()
+        resolved = [connections.connections(uri, keyword) for uri in uri_terms]
+        flat = [connection for found in resolved for connection in found]
+        source_uris = list(dict.fromkeys(c.source for c in flat))
+        source_of = {uri: i for i, uri in enumerate(source_uris)}
 
-            def resolver(candidate_uri: URI, keyword: Term) -> List[Connection]:
-                evidence = evidence_by_keyword.get(keyword)
-                if evidence is None:
-                    evidence = evidence_by_keyword[keyword] = (
-                        connection_index.keyword_evidence(
-                            component.ident, extensions[keyword]
-                        )
-                    )
-                return resolve_connections(self.instance, evidence, candidate_uri)
+        def integers(values) -> np.ndarray:
+            return np.fromiter(values, dtype=np.intp)
 
-        else:
-            connections_index = ComponentConnections(
-                self.instance, component, extensions
-            )
-            candidate_uris = connections_index.candidate_documents()
-            resolver = connections_index.connections
-        return [
-            self._make_template(candidate_uri, extensions, resolver)
-            for candidate_uri in candidate_uris
-        ]
+        return (
+            *(integers(tree[uri][field] for uri in uri_terms) for field in range(3)),
+            uri_terms,
+            integers(map(len, resolved)),
+            integers(c.distance for c in flat),
+            integers(source_of[c.source] for c in flat),
+            source_uris,
+        )
 
     def _component_layout(
-        self,
-        component: Component,
-        extensions: Dict[Term, Set[Term]],
-        cache: _BatchCache,
-        cache_key: Tuple,
+        self, ident: int, state: QueryState, cache: _BatchCache
     ) -> _ComponentLayout:
-        """The flat candidate block of one matching component.
+        """The flat candidate layout of one matching component.
 
-        Seeker-independent (segment offsets, weights, deduplicated source
-        slots with their neighborhood index runs, vertical-neighbor
-        pairs), so it is computed once per ``(component, keywords)`` pair
-        and shared via *cache*.  The element order inside every segment
-        is the candidates' keyword-major connection order, so the
-        refreshed floats are those of the straightforward per-candidate
-        loops.
+        Seeker-independent: each keyword's block is computed once per
+        ``(component, keyword extension)`` pair and shared via *cache*;
+        the layout is the block itself for a single keyword and
+        :func:`compose_layout` of the blocks otherwise.  The element
+        order inside every segment is the candidates' keyword-major
+        connection order, so the refreshed floats are those of the
+        straightforward per-candidate loops.
         """
-        key = (component.ident, cache_key)
-        cached = cache.component_layouts.get(key)
-        if cached is not None:
-            return cached
-        templates = self._candidate_templates(component, extensions)
-        layout = cache.component_layouts[key] = _ComponentLayout()
-        live: List[int] = []
-        slot_of: Dict[URI, int] = {}
-        concat_parts: List[np.ndarray] = []
-        source_offsets: List[int] = []
-        nonempty: List[int] = []
-        conn_src: List[int] = []
-        conn_weight: List[float] = []
-        kw_offsets: List[int] = []
-        cand_offsets: List[int] = []
-        by_root: Dict[URI, List[int]] = {}
-        total = 0
-        for position, template in enumerate(templates):
-            _uri, root, _depth, _dewey, counts, weights, sources = template
-            by_root.setdefault(root, []).append(position)
-            if not counts or 0 in counts:
-                continue
-            live.append(position)
-            cand_offsets.append(len(kw_offsets))
-            offset = len(conn_src)
-            for count in counts:
-                kw_offsets.append(offset)
-                offset += count
-            for source in sources:
-                slot = slot_of.get(source)
-                if slot is None:
-                    slot = len(slot_of)
-                    slot_of[source] = slot
-                    indices = self.prox_index.closed_neighborhood_indices(source)
-                    if indices.size:
-                        nonempty.append(slot)
-                        source_offsets.append(total)
-                        concat_parts.append(indices)
-                        total += indices.size
-                conn_src.append(slot)
-            conn_weight.extend(weights)
-        pair_shallow: List[int] = []
-        pair_deep: List[int] = []
-        for positions in by_root.values():
-            # Vertical-neighbor pairs, shallow (strictly smaller depth —
-            # a proper dewey prefix is strictly shorter) listed first.
-            for index, position_a in enumerate(positions):
-                dewey_a = templates[position_a][3]
-                for position_b in positions[index + 1 :]:
-                    dewey_b = templates[position_b][3]
-                    if len(dewey_a) <= len(dewey_b):
-                        shorter, longer = dewey_a, dewey_b
-                        shallow, deep = position_a, position_b
-                    else:
-                        shorter, longer = dewey_b, dewey_a
-                        shallow, deep = position_b, position_a
-                    if longer[: len(shorter)] == shorter:
-                        pair_shallow.append(shallow)
-                        pair_deep.append(deep)
-        layout.depths = np.asarray(
-            [template[2] for template in templates], dtype=np.intp
-        )
-        layout.uri_terms = [template[0] for template in templates]
-        # Unicode copies of the candidate URIs: numpy compares code
-        # points exactly like ``str``, so the URI tiebreak rank comes
-        # from one C argsort instead of a Python sort per growth.
-        layout.uris = np.asarray(
-            [str(uri) for uri in layout.uri_terms], dtype=np.str_
-        )
-        layout.pair_shallow = np.asarray(pair_shallow, dtype=np.intp)
-        layout.pair_deep = np.asarray(pair_deep, dtype=np.intp)
-        layout.n_all = len(templates)
-        layout.live = np.asarray(live, dtype=np.intp)
-        layout.n_live = len(live)
-        layout.conn_weight = np.asarray(conn_weight, dtype=np.float64)
-        layout.conn_src = np.asarray(conn_src, dtype=np.intp)
-        layout.kw_offsets = np.asarray(kw_offsets, dtype=np.intp)
-        layout.cand_offsets = np.asarray(cand_offsets, dtype=np.intp)
-        layout.n_conns = len(conn_src)
-        layout.n_kws = len(kw_offsets)
-        layout.source_concat = (
-            np.concatenate(concat_parts)
-            if concat_parts
-            else np.empty(0, dtype=np.int64)
-        )
-        layout.source_offsets = np.asarray(source_offsets, dtype=np.intp)
-        layout.nonempty = np.asarray(nonempty, dtype=np.intp)
-        layout.n_slots = len(slot_of)
-        return layout
+        table = cache.blocks
+        cached = table.component(ident)
+        blocks = []
+        for key, (keyword, extension) in zip(
+            state.block_keys, state.extensions.items()
+        ):
+            block = cached.get(key)
+            if block is None:
+                table.misses += 1
+                if self.connection_index is not None:
+                    raw = self.connection_index.keyword_block(ident, extension)
+                else:
+                    raw = self._oracle_block(
+                        self.component_index.component(ident), keyword, extension
+                    )
+                block = cached[key] = build_block(
+                    raw,
+                    self.score.structural_weight,
+                    self.prox_index.closed_neighborhood_indices,
+                    table.arena,
+                )
+                table.grown(ident)
+            else:
+                table.hits += 1
+            blocks.append(block)
+        return blocks[0] if len(blocks) == 1 else compose_layout(blocks)
 
     # ------------------------------------------------------------------
     # Bounds
@@ -829,7 +738,7 @@ class S3kSearch:
         """
         layout = state.layout
         layout.ensure()
-        if not layout.n_live:
+        if not layout.n_all:
             return
         prox = np.zeros(layout.n_slots, dtype=np.float64)
         if layout.source_concat.size:
@@ -841,13 +750,11 @@ class S3kSearch:
         upper_terms = layout.conn_weight * np.minimum(1.0, conn_prox + tail_bound)
         lower_sums = np.add.reduceat(lower_terms, layout.kw_offsets)
         upper_sums = np.add.reduceat(upper_terms, layout.kw_offsets)
-        lower_vals = np.multiply.reduceat(lower_sums, layout.cand_offsets)
-        upper_vals = np.multiply.reduceat(upper_sums, layout.cand_offsets)
-        layout.lowers[layout.live_pos] = lower_vals
-        layout.uppers[layout.live_pos] = upper_vals
+        layout.lowers = np.multiply.reduceat(lower_sums, layout.cand_offsets)
+        layout.uppers = np.multiply.reduceat(upper_sums, layout.cand_offsets)
         layout.screen_cache = None
-        layout.batch_stats = (float(upper_vals.min()), float(lower_vals.max()))
-        self._stats["bounds_refresh_rows"] += layout.n_live
+        layout.batch_stats = (float(layout.uppers.min()), float(layout.lowers.max()))
+        self._stats["bounds_refresh_rows"] += layout.n_all
 
     def _screen_arrays(self, layout: _BoundsLayout) -> Tuple[np.ndarray, np.ndarray]:
         """``(lowers, uppers)`` with removed positions neutralized.
@@ -930,17 +837,15 @@ class S3kSearch:
         stats = layout.batch_stats
         if stats is not None:
             # Refresh-time bracket, no arrays touched: the raw min never
-            # exceeds the candidates' min upper (settled rows pin it to
-            # 0.0 when present), the raw max never undershoots any
-            # candidate lower.  ``min_upper ≥ max_lower − eps`` rules out
-            # BOTH rules at once — rule (i) because the reference k-th
-            # lower is itself ≤ max_lower, rule (ii) because every
+            # exceeds the candidates' min upper, the raw max never
+            # undershoots any candidate lower.  ``min_upper ≥ max_lower −
+            # eps`` rules out BOTH rules at once — rule (i) because the
+            # reference k-th lower is itself ≤ max_lower, rule (ii) because every
             # shallow upper ≥ min_upper ≥ max_lower − eps ≥ deep lower −
             # eps.  Only the convergence tie-break escapes the bracket.
-            min_upper = stats[0] if layout.n_live == n_all else min(stats[0], 0.0)
             if (not shallow.size and n_all < k) or (
                 (not shallow.size or not converged)
-                and min_upper >= stats[1] - TIE_EPSILON
+                and stats[0] >= stats[1] - TIE_EPSILON
             ):
                 self._stats["clean_checks_fast"] += 1
                 return
@@ -1012,6 +917,7 @@ class S3kSearch:
             extensions=extensions,
             extended_keyword_count=sum(len(ext) for ext in extensions.values()),
             matching=matching,
+            block_keys=tuple(map(frozenset, extensions.values())),
             hard_cap=(
                 max_iterations if max_iterations is not None else DEFAULT_MAX_ITERATIONS
             ),
@@ -1160,12 +1066,7 @@ class S3kSearch:
                 continue
             state.processed.add(ident)
             if ident in state.matching:
-                block = self._component_layout(
-                    self.component_index.component(ident),
-                    state.extensions,
-                    cache,
-                    state.cache_key,
-                )
+                block = self._component_layout(ident, state, cache)
                 if block.n_all:
                     state.layout.append(block)
                     # Every gathered candidate was examined, whether or

@@ -73,7 +73,8 @@ class EngineConfig:
     use_matrix: bool = True
     use_connection_index: bool = True
     result_cache_size: int = 1024
-    plan_cache_size: int = 4096
+    #: ``None``: sized by the index (see ``S3kSearch``)
+    plan_cache_size: Optional[int] = None
 
 
 #: per-stage shares of ``patch_wall_seconds`` reported by
@@ -570,8 +571,11 @@ class Engine:
         version), ``maintenance`` (writes applied, deltas consumed,
         components patched, fallback rebuilds, patch wall seconds and
         their proximity / connection-slab / cache-eviction shares),
-        ``result_cache`` (hit / miss / occupancy),
-        ``connection_index`` (slab counts incl. persisted / adopted,
+        ``result_cache`` (hit / miss / occupancy), ``plan_cache`` (per
+        table of seeker-independent plans — extensions, matching,
+        weight bounds, candidate blocks — hits, misses, size, capacity,
+        LRU and delta evictions as ``<table>_<counter>``, plus
+        ``block_builds``), ``connection_index`` (slab counts incl. persisted / adopted,
         size, build time), ``batcher`` (flush and collapse counters,
         aggregated across retired event loops) and ``exploration``
         (fast-/slow-path certification counters and per-phase wall
@@ -613,6 +617,7 @@ class Engine:
                 for name, value in self._maintenance.items()
             },
             "result_cache": dict(self.cache_stats),
+            "plan_cache": kernel.plan_cache_stats if kernel is not None else {},
             "connection_index": connection,
             "batcher": batcher,
             "exploration": dict(self.exploration_stats),

@@ -762,9 +762,9 @@ class ShardedEngine:
         """Merged rollup plus per-shard breakdown.
 
         Sections: ``engine`` / ``result_cache`` / ``batcher`` /
-        ``maintenance`` / ``exploration`` are the workers' counters
-        summed (the same shapes as :meth:`Engine.stats`, so existing
-        dashboards keep reading them);
+        ``maintenance`` / ``plan_cache`` / ``exploration`` are the
+        workers' counters summed (the same shapes as
+        :meth:`Engine.stats`, so existing dashboards keep reading them);
         ``connection_index`` reports the router's **shared** index once
         (summing N views of one mmap would multiply its size);
         ``router`` holds routing / respawn / placement counters; one
@@ -783,6 +783,7 @@ class ShardedEngine:
         rollup_batcher: Dict[str, float] = {}
         rollup_maintenance: Dict[str, float] = {}
         rollup_exploration: Dict[str, float] = {}
+        rollup_plans: Dict[str, float] = {}
         shard_sections: Dict[str, Dict[str, object]] = {}
         answered_total = 0
         for shard in self._shards:
@@ -817,6 +818,7 @@ class ShardedEngine:
                 for rollup, block in (
                     (rollup_maintenance, "maintenance"),
                     (rollup_exploration, "exploration"),
+                    (rollup_plans, "plan_cache"),
                 ):
                     for name, value in worker.get(block, {}).items():
                         rollup[name] = rollup.get(name, 0) + value
@@ -848,6 +850,7 @@ class ShardedEngine:
             "router": router,
             "maintenance": rollup_maintenance,
             "result_cache": rollup_cache,
+            "plan_cache": rollup_plans,
             "connection_index": connection,
             "batcher": rollup_batcher,
             "exploration": rollup_exploration,

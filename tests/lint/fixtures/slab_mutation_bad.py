@@ -53,3 +53,16 @@ def augments_through_a_field_alias(warm):
 def writes_a_looked_up_slab(index, ident):
     slab = index.slab(ident)
     slab.ev_node[0] = 3  # BAD: .slab() hands out the shared arrays
+
+
+def writes_into_the_index_arena(table, block):
+    table.arena.runs[block.run_start] = 0  # BAD: every block reads this buffer
+
+
+def remaps_a_layout_in_place(layout, old_to_new):
+    layout.source_concat[:] = old_to_new[layout.source_concat]  # BAD: shared view
+
+
+def sorts_an_arena_slice(arena, start, stop):
+    view = arena.runs[start:stop]
+    view.sort()  # BAD: the alias still points into the pooled buffer

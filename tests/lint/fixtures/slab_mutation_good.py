@@ -56,3 +56,14 @@ def copies_a_warm_field_before_mutating(warm):
 def registers_a_rebuilt_slab(index, ident, fresh):
     index._slabs[ident] = fresh  # swapping the registry entry is the
     return index._slabs[ident]   # sanctioned copy-on-patch move
+
+
+def remaps_the_arena_with_a_fresh_array(arena, old_to_new):
+    fresh = old_to_new[arena.runs[: arena.used]]  # a gather allocates
+    fresh[0] = fresh[0]
+    return fresh
+
+
+def swaps_a_layout_reference(layout, block):
+    layout.source_concat = block.source_concat  # adopting a view is a read
+    return layout.source_concat[0]

@@ -25,7 +25,7 @@ RULES = (
 #: rule → number of distinct violations its bad fixture stages
 EXPECTED_BAD_FINDINGS = {
     "async-blocking": 8,
-    "slab-mutation": 11,
+    "slab-mutation": 14,
     "fork-safety": 6,
     "no-sleep-tests": 4,
     "determinism": 10,

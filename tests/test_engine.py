@@ -206,6 +206,7 @@ class TestEngineFacade:
         assert set(stats) == {
             "engine",
             "result_cache",
+            "plan_cache",
             "connection_index",
             "batcher",
             "exploration",

@@ -22,6 +22,13 @@ tainted values: subscript stores, augmented assignment, mutating
 method calls (``sort`` / ``fill`` / ``resize`` / ``partition`` /
 ``put`` / ``setflags`` / ``byteswap``), and passing one as ``out=``.
 
+The kernel's pooled index arena (``_IndexArena.runs`` and every
+layout's ``source_concat`` cut out of it) is shared the same way inside
+one process: every cached block and every in-flight query state reads
+slices of one buffer, so both attribute names are taint sources
+wherever they appear.  The arena's own ``append`` — the single writer,
+past the handed-out range — goes through its private ``_data``.
+
 The delta-application paths make this load-bearing: incremental
 maintenance (``ConnectionIndex.apply_delta`` warm-reseeding,
 ``ProximityIndex.apply_delta`` row patches) runs against indexes whose
@@ -58,6 +65,10 @@ _TAINTED_PARAMS = ("arrays", "slab_arrays", "warm", "adopted")
 #: method calls whose *name* marks the receiver as handing out slab
 #: arrays, wherever it lives (``slab.arrays()``, ``index.slab(ident)``)
 _SOURCE_METHODS = ("arrays", "slab")
+
+#: attributes that *are* shared arrays whatever object carries them: the
+#: plan cache's pooled index arena and the layout views cut out of it
+_SOURCE_ATTRIBUTES = ("runs", "source_concat")
 
 
 def _receiver_hint(func: ast.expr) -> bool:
@@ -98,7 +109,7 @@ class _Scope:
         if isinstance(node, ast.Attribute):
             # A field of a tainted slab handle (``warm.node_activity``)
             # is one of its adopted arrays.
-            return self.is_tainted(node.value)
+            return node.attr in _SOURCE_ATTRIBUTES or self.is_tainted(node.value)
         if isinstance(node, ast.expr) and _is_taint_source(node):
             return True
         return False
